@@ -32,7 +32,7 @@ from pathlib import Path
 
 from repro.core.distributed import SweepCoordinator
 from repro.core.outcome_cache import lease_key
-from repro.core.parallel import sweep_grid
+from repro.core.parallel import RunSpec
 from repro.core.run import execute
 from repro.core.supervisor import SweepJournal
 
@@ -40,12 +40,12 @@ DURATION_S = 45.0
 
 
 def _grid():
-    return sweep_grid(
-        ["H1", "S1", "D2", "H4", "H6", "D1"],
-        [2, 9],
-        duration_s=DURATION_S,
-        fast_forward=True,
-    )
+    return [
+        RunSpec(service=service, profile_id=profile_id,
+                duration_s=DURATION_S, engine="event")
+        for service in ("H1", "S1", "D2", "H4", "H6", "D1")
+        for profile_id in (2, 9)
+    ]
 
 
 def _spawn_worker(label: str) -> tuple[subprocess.Popen, str]:

@@ -11,19 +11,19 @@ from __future__ import annotations
 import tempfile
 
 from repro.core.outcome_cache import OutcomeCache
-from repro.core.parallel import sweep_grid
+from repro.core.parallel import RunSpec
 from repro.core.run import execute
 from repro.net.traces import PROFILE_COUNT
 from repro.services import ALL_SERVICE_NAMES
 
 
 def main() -> None:
-    grid = sweep_grid(
-        ALL_SERVICE_NAMES,
-        range(1, PROFILE_COUNT + 1),
-        duration_s=45.0,
-        fast_forward=True,
-    )
+    grid = [
+        RunSpec(service=service, profile_id=profile_id, duration_s=45.0,
+                engine="event")
+        for service in ALL_SERVICE_NAMES
+        for profile_id in range(1, PROFILE_COUNT + 1)
+    ]
     reference = execute(grid, workers=0)
     with tempfile.TemporaryDirectory() as root:
         cache = OutcomeCache(root)

@@ -25,7 +25,7 @@ import tempfile
 import time
 
 from repro.core.outcome_cache import lease_key
-from repro.core.parallel import sweep_grid
+from repro.core.parallel import RunSpec
 from repro.core.run import execute
 from repro.core.supervisor import SweepJournal, SweepSupervisor
 
@@ -33,12 +33,12 @@ DURATION_S = 45.0
 
 
 def _grid():
-    return sweep_grid(
-        ["H1", "S1", "D2", "H4"],
-        [2, 9],
-        duration_s=DURATION_S,
-        fast_forward=True,
-    )
+    return [
+        RunSpec(service=service, profile_id=profile_id,
+                duration_s=DURATION_S, engine="event")
+        for service in ("H1", "S1", "D2", "H4")
+        for profile_id in (2, 9)
+    ]
 
 
 def _child(journal_dir: str) -> None:

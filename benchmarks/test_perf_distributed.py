@@ -35,7 +35,7 @@ from repro.core.run import execute
 from repro.core.supervisor import SweepJournal
 from repro.net.traces import PROFILE_COUNT
 from repro.obs.metrics import process_registry
-from repro.core.parallel import sweep_grid
+from repro.core.parallel import RunSpec
 from repro.services import ALL_SERVICE_NAMES
 
 from benchmarks.conftest import bench_env, once
@@ -47,12 +47,12 @@ BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_distributed.json"
 
 
 def _grid():
-    return sweep_grid(
-        ALL_SERVICE_NAMES,
-        GRID_PROFILES,
-        duration_s=GRID_DURATION_S,
-        fast_forward=True,
-    )
+    return [
+        RunSpec(service=name, profile_id=profile_id,
+                duration_s=GRID_DURATION_S, engine="event")
+        for name in ALL_SERVICE_NAMES
+        for profile_id in GRID_PROFILES
+    ]
 
 
 def _spawn_worker() -> tuple[subprocess.Popen, str]:

@@ -1,6 +1,6 @@
 """Sweep fabric: pool persistence, encode locality and the outcome cache.
 
-Times the full paper grid (12 services x 14 profiles, fast-forwarded)
+Times the full paper grid (12 services x 14 profiles, event engine)
 through the three fabric layers and writes the numbers to
 ``benchmarks/BENCH_fabric.json``:
 
@@ -28,7 +28,7 @@ import time
 from pathlib import Path
 
 from repro.core.outcome_cache import OutcomeCache
-from repro.core.parallel import catalogue_key, default_worker_count, sweep_grid
+from repro.core.parallel import RunSpec, catalogue_key, default_worker_count
 from repro.core.pool import active_worker_pool, close_worker_pool
 from repro.core.run import execute
 from repro.media.cache import clear_asset_cache
@@ -59,12 +59,12 @@ def _timed_execute(grid, **kwargs):
 
 
 def test_perf_fabric(benchmark, show, tmp_path):
-    grid = sweep_grid(
-        ALL_SERVICE_NAMES,
-        range(1, PROFILE_COUNT + 1),
-        duration_s=GRID_DURATION_S,
-        fast_forward=True,
-    )
+    grid = [
+        RunSpec(service=name, profile_id=profile_id,
+                duration_s=GRID_DURATION_S, engine="event")
+        for name in ALL_SERVICE_NAMES
+        for profile_id in range(1, PROFILE_COUNT + 1)
+    ]
     catalogues = len({catalogue_key(spec) for spec in grid})
     workers = max(default_worker_count(), 2)
 
@@ -149,7 +149,7 @@ def test_perf_fabric(benchmark, show, tmp_path):
     FABRIC_BASELINE_PATH.write_text(json.dumps(results, indent=2, sort_keys=True))
 
     show(
-        "Sweep fabric (full grid, fast-forward)",
+        "Sweep fabric (full grid, event engine)",
         ["variant", "wall s", "speedup", "identical"],
         [
             ["serial (in-process)", f"{results['serial']['wall_s']:.2f}",

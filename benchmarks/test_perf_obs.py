@@ -10,12 +10,11 @@ the enabled runs are compared against them.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 from pathlib import Path
 
-from repro.core.parallel import sweep_grid
+from repro.core.parallel import RunSpec
 from repro.core.run import execute
 from repro.media.cache import clear_asset_cache
 from repro.services import ALL_SERVICE_NAMES
@@ -39,19 +38,21 @@ def _timed(specs, *, tracer=None, profile=False, repeats=3):
 
 
 def test_perf_obs_overhead(benchmark, show):
-    grid = sweep_grid(
-        ALL_SERVICE_NAMES, GRID_PROFILES, duration_s=GRID_DURATION_S
-    )
-    ff_grid = [dataclasses.replace(spec, fast_forward=True) for spec in grid]
+    grid = [
+        RunSpec(service=name, profile_id=profile_id,
+                duration_s=GRID_DURATION_S, engine="event")
+        for name in ALL_SERVICE_NAMES
+        for profile_id in GRID_PROFILES
+    ]
 
     def run():
         clear_asset_cache()
         # Warm the encode cache outside the timed region.
-        execute(ff_grid, workers=0)
+        execute(grid, workers=0)
 
-        disabled, disabled_wall = _timed(ff_grid)
-        traced, traced_wall = _timed(ff_grid, tracer=True)
-        profiled, profiled_wall = _timed(ff_grid, tracer=True, profile=True)
+        disabled, disabled_wall = _timed(grid)
+        traced, traced_wall = _timed(grid, tracer=True)
+        profiled, profiled_wall = _timed(grid, tracer=True, profile=True)
 
         events = sum(len(outcome.trace) for outcome in traced)
         return {

@@ -1,12 +1,10 @@
 """Sweep engine throughput: simulated seconds per wall second.
 
 Times the full paper grid (12 services x 14 profiles) through the sweep
-engine's backends — serial, serial+fast-forward, parallel — plus the
-encode cache in isolation, and writes the numbers to
-``benchmarks/BENCH_sweep.json`` as a regression baseline.
-``test_perf_transfer_batching`` separates the two fast-forward layers
-(idle-tick vs in-transfer event-horizon batching) by tick accounting
-and writes ``benchmarks/BENCH_core.json``.
+engine's backends — serial and parallel ``execute()`` — plus the encode
+cache in isolation, and writes the numbers to
+``benchmarks/BENCH_sweep.json`` as a regression baseline.  The event
+engine's speed against the tick loop is timed by ``test_perf_event.py``.
 
 Run-to-run output equality between backends is asserted here at full
 grid scale (records are compared with ``==``), so this doubles as the
@@ -15,18 +13,13 @@ heaviest invariance check in the repo.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import time
 from pathlib import Path
 
-from repro.core.parallel import (
-    SweepRunner,
-    TickStats,
-    default_worker_count,
-    sweep_grid,
-)
+from repro.core.parallel import RunSpec, default_worker_count
+from repro.core.run import execute
 from repro.media.cache import asset_cache, clear_asset_cache
 from repro.net.traces import PROFILE_COUNT
 from repro.services import ALL_SERVICE_NAMES, get_service
@@ -35,50 +28,34 @@ from benchmarks.conftest import bench_env, once
 
 GRID_DURATION_S = 45.0
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_sweep.json"
-CORE_BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_core.json"
 
 
-def _timed_run(runner: SweepRunner, grid, *, cold_cache: bool):
+def _timed_run(grid, *, cold_cache: bool, **execute_kwargs):
     if cold_cache:
         clear_asset_cache()
     start = time.perf_counter()
-    records = runner.run(grid)
+    records = [o.record for o in execute(grid, **execute_kwargs)]
     wall = time.perf_counter() - start
     simulated = sum(record.duration_s for record in records)
     return records, wall, simulated
 
 
 def test_perf_sweep(benchmark, show):
-    grid = sweep_grid(
-        ALL_SERVICE_NAMES,
-        range(1, PROFILE_COUNT + 1),
-        duration_s=GRID_DURATION_S,
-    )
-    ff_grid = [dataclasses.replace(spec, fast_forward=True) for spec in grid]
+    grid = [
+        RunSpec(service=name, profile_id=profile_id,
+                duration_s=GRID_DURATION_S)
+        for name in ALL_SERVICE_NAMES
+        for profile_id in range(1, PROFILE_COUNT + 1)
+    ]
 
     def run():
         results = {}
         serial_records, serial_wall, simulated = _timed_run(
-            SweepRunner(workers=0), grid, cold_cache=True
+            grid, cold_cache=True, workers=0
         )
         results["serial"] = {
             "wall_s": serial_wall,
             "sim_s_per_wall_s": simulated / serial_wall,
-        }
-
-        ff_records, ff_wall, ff_sim = _timed_run(
-            SweepRunner(workers=0), ff_grid, cold_cache=False
-        )
-        assert ff_sim == simulated
-        results["fast_forward"] = {
-            "wall_s": ff_wall,
-            "sim_s_per_wall_s": simulated / ff_wall,
-            "speedup_vs_serial": serial_wall / ff_wall,
-            "records_identical": [
-                (r.qoe, r.duration_s, r.final_position_s) for r in ff_records
-            ] == [
-                (r.qoe, r.duration_s, r.final_position_s) for r in serial_records
-            ],
         }
 
         # Encode cache in isolation: cold encode vs cache hit.
@@ -98,7 +75,7 @@ def test_perf_sweep(benchmark, show):
 
         workers = max(default_worker_count(), 2)
         parallel_records, parallel_wall, _ = _timed_run(
-            SweepRunner(workers=workers, chunksize=4), grid, cold_cache=True
+            grid, cold_cache=True, workers=workers, chunksize=4
         )
         results["parallel"] = {
             "workers": workers,
@@ -127,10 +104,6 @@ def test_perf_sweep(benchmark, show):
         [
             ["serial", f"{results['serial']['wall_s']:.2f}",
              f"{results['serial']['sim_s_per_wall_s']:.0f}", "1.00", "-"],
-            ["serial+ff", f"{results['fast_forward']['wall_s']:.2f}",
-             f"{results['fast_forward']['sim_s_per_wall_s']:.0f}",
-             f"{results['fast_forward']['speedup_vs_serial']:.2f}",
-             results["fast_forward"]["records_identical"]],
             [f"parallel x{results['parallel']['workers']}",
              f"{results['parallel']['wall_s']:.2f}",
              f"{results['parallel']['sim_s_per_wall_s']:.0f}",
@@ -142,118 +115,11 @@ def test_perf_sweep(benchmark, show):
     )
 
     # Output equality between backends is unconditional.
-    assert results["fast_forward"]["records_identical"]
     assert results["parallel"]["records_identical"]
-    # Gains: the cache hit must dwarf a cold encode, and fast-forward
-    # must measurably beat pure ticking on the paper grid.
+    # Gains: the cache hit must dwarf a cold encode.
     assert results["encode_cache"]["speedup"] > 10.0
-    assert results["fast_forward"]["speedup_vs_serial"] > 1.05
     # Parallel wall-clock wins need real cores; a single-core container
     # cannot demonstrate them, so the 2x bar applies from 4 cores up.
     if (os.cpu_count() or 1) >= 4 and results["parallel"]["workers"] >= 4:
         assert results["parallel"]["speedup_vs_serial"] >= 2.0
 
-
-def _timed_stats_run(grid):
-    clear_asset_cache()
-    start = time.perf_counter()
-    outcomes = SweepRunner(workers=0).run_with_stats(grid)
-    wall = time.perf_counter() - start
-    records = [record for record, _ in outcomes]
-    stats = TickStats.ZERO
-    for _, run_stats in outcomes:
-        stats = stats + run_stats
-    return records, stats, wall
-
-
-def _mode_entry(stats: TickStats, wall: float, serial_wall: float) -> dict:
-    return {
-        "wall_s": wall,
-        "speedup_vs_serial": serial_wall / wall,
-        "ticks_executed": stats.ticks_executed,
-        "ticks_simulated": stats.ticks_simulated,
-        "executed_fraction": stats.ticks_executed / stats.ticks_simulated,
-        "idle_fast_forwarded_ticks": stats.idle_fast_forwarded_ticks,
-        "idle_fast_forward_jumps": stats.idle_fast_forward_jumps,
-        "transfer_fast_forwarded_ticks": stats.transfer_fast_forwarded_ticks,
-        "transfer_fast_forward_jumps": stats.transfer_fast_forward_jumps,
-    }
-
-
-def test_perf_transfer_batching(benchmark, show):
-    """Attribute the fast-forward win between its two layers by ticks.
-
-    Runs the full grid three ways — serial, idle-only batching (PR 1's
-    layer alone) and full event-horizon batching — and reports how many
-    ticks each mode actually executed against the simulated total.
-    """
-    serial_grid = sweep_grid(
-        ALL_SERVICE_NAMES, range(1, PROFILE_COUNT + 1), duration_s=GRID_DURATION_S
-    )
-    idle_grid = [
-        dataclasses.replace(spec, fast_forward=True, transfer_fast_forward=False)
-        for spec in serial_grid
-    ]
-    full_grid = [
-        dataclasses.replace(spec, fast_forward=True) for spec in serial_grid
-    ]
-
-    def run():
-        serial_records, serial_stats, serial_wall = _timed_stats_run(serial_grid)
-        idle_records, idle_stats, idle_wall = _timed_stats_run(idle_grid)
-        full_records, full_stats, full_wall = _timed_stats_run(full_grid)
-        return {
-            "grid": {
-                "services": len(ALL_SERVICE_NAMES),
-                "profiles": PROFILE_COUNT,
-                "runs": len(serial_grid),
-                "duration_s": GRID_DURATION_S,
-            },
-            "serial": _mode_entry(serial_stats, serial_wall, serial_wall),
-            "idle_only": _mode_entry(idle_stats, idle_wall, serial_wall),
-            "full": _mode_entry(full_stats, full_wall, serial_wall),
-            "real_tick_reduction_vs_idle_only": (
-                idle_stats.ticks_executed / full_stats.ticks_executed
-            ),
-            "records_identical": (
-                serial_records == idle_records == full_records
-            ),
-            "env": bench_env(),
-        }
-
-    results = once(benchmark, run)
-
-    CORE_BASELINE_PATH.write_text(json.dumps(results, indent=2, sort_keys=True))
-
-    def row(label, key):
-        entry = results[key]
-        return [
-            label,
-            f"{entry['wall_s']:.2f}",
-            f"{entry['ticks_executed']}",
-            f"{entry['ticks_simulated']}",
-            f"{entry['executed_fraction']:.2%}",
-            f"{entry['speedup_vs_serial']:.2f}",
-        ]
-
-    show(
-        "Tick batching (full grid, executed vs simulated ticks)",
-        ["mode", "wall s", "executed", "simulated", "executed %", "speedup"],
-        [
-            row("serial", "serial"),
-            row("idle-only ff", "idle_only"),
-            row("full ff", "full"),
-        ],
-    )
-
-    assert results["records_identical"]
-    # Every mode walks the same simulated timeline.
-    assert (
-        results["serial"]["ticks_simulated"]
-        == results["idle_only"]["ticks_simulated"]
-        == results["full"]["ticks_simulated"]
-    )
-    assert results["serial"]["ticks_executed"] == results["serial"]["ticks_simulated"]
-    # The PR 2 acceptance bar: event-horizon batching must execute at
-    # least 3x fewer real ticks than idle-only fast-forwarding.
-    assert results["real_tick_reduction_vs_idle_only"] >= 3.0

@@ -19,7 +19,8 @@ from repro.blackbox import (
     probe_download_thresholds,
     probe_startup_buffer,
 )
-from repro.core.parallel import default_worker_count, parallel_map
+from repro.core.parallel import default_worker_count
+from repro.core.pool import worker_pool
 from tests.support import run_session
 from repro.media.track import StreamType
 from repro.net.schedule import ConstantSchedule
@@ -55,9 +56,12 @@ def _measure(name):
 def test_table1_design_choices(benchmark, show):
     def run():
         # One worker task per service: _measure returns only picklable
-        # probe results, so the sweep engine can fan the 12 services out.
-        measurements = parallel_map(
-            _measure, ALL_SERVICE_NAMES, workers=default_worker_count()
+        # probe results, so the worker pool can fan the 12 services out.
+        workers = default_worker_count()
+        measurements = (
+            worker_pool(workers).map(_measure, ALL_SERVICE_NAMES)
+            if workers > 0
+            else [_measure(name) for name in ALL_SERVICE_NAMES]
         )
         return dict(zip(ALL_SERVICE_NAMES, measurements))
 

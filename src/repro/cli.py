@@ -5,16 +5,16 @@ Commands mirror the library's main entry points:
 * ``run SERVICE [--profile N | --bandwidth MBPS] [--duration S]`` —
   stream one service and print its QoE report;
 * ``trace SERVICE [--profile N | --bandwidth MBPS] [--duration S]
-  [--fast-forward] [--jsonl PATH]`` — stream one service with the trace
+  [--engine E] [--jsonl PATH]`` — stream one service with the trace
   spine enabled and render the session timeline;
 * ``compare [SERVICES...] [--profiles N,N] [--duration S] [--workers N]
-  [--fast-forward] [--metrics-json PATH]`` — the cross-sectional
+  [--engine E] [--metrics-json PATH]`` — the cross-sectional
   comparison table, optionally fanned out over worker processes;
 * ``probe SERVICE`` — black-box recovery of a Table 1 column;
 * ``resilience [SERVICES...] [--scenarios A,B] [--profile N]
-  [--duration S] [--workers N] [--no-fast-forward] [--json PATH]
+  [--duration S] [--workers N] [--engine E] [--json PATH]
   [--metrics-json PATH]`` — the services x fault-scenarios sweep
-  (stalls, failures, give-ups);
+  (stalls, failures, give-ups; event engine by default);
 * ``fleet [SERVICES...] [--clients N] [--profile N | --cell-mbps M]
   [--duration S] [--arrival-rate R --mean-dwell S] [--engine E]
   [--json PATH]`` — N clients sharing one cell with optional Poisson
@@ -106,8 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument("--bandwidth", type=float, default=None,
                               help="constant bandwidth in Mbps")
     trace_parser.add_argument("--duration", type=float, default=120.0)
-    trace_parser.add_argument("--fast-forward", action="store_true",
-                              help="skip provably idle ticks")
     trace_parser.add_argument("--jsonl", default=None, metavar="PATH",
                               help="also write the trace as JSON lines")
     _add_engine_argument(trace_parser)
@@ -121,8 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compare_parser.add_argument("--duration", type=float, default=300.0)
     compare_parser.add_argument("--workers", type=int, default=0,
                                 help="worker processes (0 = serial)")
-    compare_parser.add_argument("--fast-forward", action="store_true",
-                                help="skip provably idle ticks")
     compare_parser.add_argument("--metrics-json", default=None,
                                 metavar="PATH",
                                 help="write aggregated sweep metrics as JSON")
@@ -146,13 +142,11 @@ def _build_parser() -> argparse.ArgumentParser:
     res_parser.add_argument("--duration", type=float, default=120.0)
     res_parser.add_argument("--workers", type=int, default=0,
                             help="worker processes (0 = serial)")
-    res_parser.add_argument("--no-fast-forward", action="store_true",
-                            help="run every tick serially")
     res_parser.add_argument("--json", default=None, metavar="PATH",
                             help="also write the report as JSON")
     res_parser.add_argument("--metrics-json", default=None, metavar="PATH",
                             help="write aggregated sweep metrics as JSON")
-    _add_engine_argument(res_parser)
+    _add_engine_argument(res_parser, default="event")
     _add_cache_arguments(res_parser)
     _add_supervision_arguments(res_parser)
 
@@ -189,8 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="mean watch time before departure "
                                    "(exponential); omit to never leave")
     fleet_parser.add_argument("--churn-seed", type=int, default=0)
-    fleet_parser.add_argument("--fast-forward", action="store_true",
-                              help="skip provably idle ticks")
     fleet_parser.add_argument("--json", default=None, metavar="PATH",
                               help="also write the outcome as JSON")
     _add_engine_argument(fleet_parser, default="event")
@@ -375,7 +367,6 @@ def _cmd_trace(args) -> int:
         service=args.service,
         schedule=schedule,
         duration_s=args.duration,
-        fast_forward=args.fast_forward,
         engine=args.engine,
     )
     tracer = (
@@ -437,8 +428,7 @@ def _cmd_compare(args) -> int:
     all_outcomes = []
     for name in args.services:
         specs = profile_sweep_specs(
-            name, selected, duration_s=args.duration,
-            fast_forward=args.fast_forward, engine=args.engine,
+            name, selected, duration_s=args.duration, engine=args.engine,
         )
         outcomes = execute(
             specs, workers=args.workers, cache=cache,
@@ -525,7 +515,6 @@ def _cmd_resilience(args) -> int:
         profile_id=args.profile,
         duration_s=args.duration,
         workers=args.workers,
-        fast_forward=not args.no_fast_forward,
         engine=args.engine,
         cache=_cache_for(args),
         policy=policy,
@@ -588,7 +577,6 @@ def _cmd_fleet(args) -> int:
         mean_dwell_s=args.mean_dwell,
         profile_id=profile_id,
         schedule=schedule,
-        fast_forward=args.fast_forward,
         engine=args.engine,
     )
     print(f"Fleet of {spec.size} clients over {source} "
@@ -616,7 +604,7 @@ def _cmd_fleet(args) -> int:
                   f"{row.mean_stall_s:5.1f} s stall mean")
     stats = outcome.tick_stats
     print(f"ticks        : {stats.ticks_executed} executed, "
-          f"{stats.idle_fast_forwarded_ticks} fast-forwarded")
+          f"{stats.idle_fast_forwarded_ticks} batched")
     if args.json:
         with open(args.json, "w") as handle:
             json.dump(outcome.to_json(), handle, indent=2)

@@ -2,11 +2,8 @@
 
 The tick engine (:class:`~repro.core.session.Session`) discovers what
 happens next by scanning: every serial tick runs the full network →
-RRC → player pipeline just to find out whether anything changed, and
-its two fast-forward layers re-derive their batch windows from the
-change-point contracts (``next_change_at``, ``transfer_noop_ticks``,
-``slow_start_horizon_ticks``) on every jump.  This module inverts the
-control flow: producers *push* their next event into an
+RRC → player pipeline just to find out whether anything changed.  This
+module inverts the control flow: producers *push* their next event into an
 :class:`EventQueue` and :class:`EventDrivenSession` advances the clock
 from event to event, executing a serial tick only at event instants.
 
@@ -342,9 +339,8 @@ class EventDrivenSession(EventLoopCore, Session):
     """A :class:`Session` that advances the clock event to event.
 
     Same constructor, same :meth:`_finish`, same result types; only the
-    main loop differs.  The ``fast_forward`` flags are ignored — the
-    event engine always batches, and its accounting lands in the same
-    counters (``ticks_executed`` = dispatched event ticks,
+    main loop differs.  It always batches certified no-op windows, and
+    its accounting lands in the session's tick counters (``ticks_executed`` = dispatched event ticks,
     ``fast_forwarded_ticks`` / ``transfer_fast_forwarded_ticks`` =
     batched ticks), so :class:`~repro.core.parallel.TickStats` and its
     ``ticks_simulated`` invariant hold unchanged.
@@ -402,19 +398,17 @@ class EventDrivenSession(EventLoopCore, Session):
     def _batch_to(self, target: float, limit: float, dt: float) -> None:
         """Replay the certified no-op window ending at ``target``.
 
-        The window math is the tick engine's (same ``int(...)``
-        truncation, same clamp order) with two removals: no per-round
-        margin recompute (the player wake is an absolute deadline,
-        valid until the next dispatch) and no per-round fault horizon
-        (fault change points are queue entries, so ``target`` already
-        stops short of them).
+        No per-round margin recompute (the player wake is an absolute
+        deadline, valid until the next dispatch) and no per-round fault
+        horizon (fault change points are queue entries, so ``target``
+        already stops short of them).
         """
         clock = self.clock
         now = clock.now
-        # Unlike the tick loop's planner this cap includes the final
-        # tick: the oracle executes ticks while now < limit, so the
-        # last window may batch straight through to the end instead of
-        # dispatching one (usually no-op) serial tick per session.
+        # The cap includes the final tick: the oracle executes ticks
+        # while now < limit, so the last window may batch straight
+        # through to the end instead of dispatching one (usually no-op)
+        # serial tick per session.
         remaining = int((limit - now) / dt) + 1
         ticks = int((target - now - 1e-9) / dt) + 1
         if ticks > remaining:
@@ -453,8 +447,7 @@ class EventDrivenSession(EventLoopCore, Session):
             self._after_dispatch()
             return
         # With no transfer anywhere the link moves no bytes and
-        # connection control is a no-op (the tick engine's idle-jump
-        # argument, state-independent): replay player no-ops, RRC idle
+        # connection control is a no-op (state-independent): replay player no-ops, RRC idle
         # observations and clock ticks, skip network.advance entirely.
         player.apply_noop_ticks(ticks, dt)
         rrc = self.rrc

@@ -68,8 +68,6 @@ def profile_sweep_specs(
     duration_s: float = 600.0,
     repetitions: int = 1,
     dt: float = 0.1,
-    fast_forward: bool = False,
-    transfer_fast_forward: Optional[bool] = None,
     config_overrides: tuple[tuple[str, object], ...] = (),
     engine: str = "tick",
 ) -> list[RunSpec]:
@@ -88,8 +86,6 @@ def profile_sweep_specs(
             duration_s=duration_s,
             dt=dt,
             trace=trace,
-            fast_forward=fast_forward,
-            transfer_fast_forward=transfer_fast_forward,
             config_overrides=config_overrides,
             engine=engine,
         )

@@ -135,10 +135,7 @@ class FleetSpec:
     Two roster modes share the type:
 
     * **explicit** (``clients=None``): one client per ``services``
-      entry, in order, devices cycling through ``devices`` — the
-      deterministic mode the ``run_shared_link`` compatibility shim
-      uses, reproducing its exact per-client naming, seeding and URL
-      namespaces.
+      entry, in order, devices cycling through ``devices``.
     * **weighted** (``clients=N``): each client's service and device
       class are drawn from the pools under ``service_weights`` /
       ``device_weights`` with seeded generators, so a thousand-client
@@ -173,7 +170,6 @@ class FleetSpec:
     trace_seed: int = TRACE_SEED
     schedule: Optional[BandwidthSchedule] = None
     faults: Optional[FaultSpec] = None
-    fast_forward: bool = False
     engine: str = "event"
 
     def __post_init__(self) -> None:
@@ -494,9 +490,9 @@ class FleetSession:
     Thin composition over :class:`~repro.core.multi.MultiSession` /
     :class:`~repro.core.multi.EventDrivenMultiSession`: per-client
     naming (``H1#7``), content seeding (``content_seed + index``) and
-    URL namespacing (``https://cdn7.example.com``) reproduce the old
-    ``run_shared_link`` construction exactly, which is what makes the
-    compatibility shim — and the small-N identity tests — byte-exact.
+    URL namespacing (``https://cdn7.example.com``) are fixed functions
+    of the roster, which is what makes the small-N identity tests
+    byte-exact.
     """
 
     def __init__(self, spec: FleetSpec):
@@ -538,7 +534,6 @@ class FleetSession:
             spec.resolved_schedule(),
             dt=spec.dt,
             rtt_s=spec.rtt_s,
-            fast_forward=spec.fast_forward,
             faults=spec.faults,
             arrivals=[plan.arrival_s for plan in self.plans],
             departures=[plan.departure_s for plan in self.plans],

@@ -17,7 +17,6 @@ completion estimates and the fault plane's static change points.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -114,7 +113,6 @@ class MultiSession:
         *,
         dt: float = 0.1,
         rtt_s: float = 0.05,
-        fast_forward: bool = False,
         faults: Optional[FaultSpec] = None,
         arrivals: Optional[Sequence[float]] = None,
         departures: Optional[Sequence[Optional[float]]] = None,
@@ -122,7 +120,7 @@ class MultiSession:
         if not builts:
             raise ValueError("need at least one client")
         self.builts = list(builts)
-        self.fast_forward = fast_forward
+        # Tick accounting; the batched counters are the event engine's.
         self.ticks_executed = 0
         self.fast_forwarded_ticks = 0
         self.fast_forward_jumps = 0
@@ -188,8 +186,6 @@ class MultiSession:
         while self.clock.now < duration_s - 1e-9:
             if self._churn:
                 self._process_churn(self.clock.now)
-            if self.fast_forward and self._try_fast_forward(duration_s):
-                continue
             self.network.advance(dt)
             for player in self._active:
                 player.advance(dt)
@@ -257,70 +253,6 @@ class MultiSession:
                 continue  # never arrives within this run
             if not player.ended:
                 return False
-        return True
-
-    def _churn_horizon_ticks(self, ticks: int, dt: float) -> int:
-        """Clamp a no-op window so churn instants run on serial ticks.
-
-        Same window arithmetic as the event engine's batch-to-event
-        clamp, so both engines activate and retire on identical ticks.
-        """
-        if not self._churn:
-            return ticks
-        now = self.clock.now
-        for index in range(len(self.players)):
-            if self._retired[index]:
-                continue
-            if not self._arrived[index]:
-                instant = self.arrivals[index]
-            else:
-                instant = self.departures[index]
-                if instant is None:
-                    continue
-            if instant <= now + 1e-9:
-                continue  # due now; the tick top already processed it
-            clamp = int((instant - now - 1e-9) / dt) + 1
-            if clamp < ticks:
-                ticks = clamp
-        return ticks
-
-    # -- fast forward ------------------------------------------------------
-
-    def _try_fast_forward(self, duration_s: float) -> bool:
-        """Jump the shared clock over a stretch idle for *every* player."""
-        if self._all_done():
-            return False  # the serial loop is about to break
-        for player in self._active:
-            if player.state not in (PlayerState.PLAYING, PlayerState.ENDED):
-                return False
-            if player.scheduler.busy:
-                return False
-        if any(conn.transfer is not None for conn in self.network.connections):
-            return False
-        dt = self.clock.dt
-        max_ticks = int((duration_s - 1e-9 - self.clock.now) / dt)
-        if max_ticks < 2:
-            return False
-        if self._active:
-            ticks = min(
-                player.idle_noop_ticks(dt, max_ticks)
-                for player in self._active
-            )
-        else:
-            ticks = max_ticks  # everyone still waiting to arrive
-        # Fault change points (including no-op resets) must execute on
-        # the serial path so the fault cursor advances identically; the
-        # same goes for churn instants.
-        ticks = self.network.fault_horizon_ticks(ticks, dt)
-        ticks = self._churn_horizon_ticks(ticks, dt)
-        if ticks < 2:
-            return False
-        for player in self._active:
-            player.apply_noop_ticks(ticks, dt)
-        for _ in range(ticks):
-            self.clock.tick()
-        self.fast_forwarded_ticks += ticks
-        self.fast_forward_jumps += 1
         return True
 
     # -- results -----------------------------------------------------------
@@ -599,48 +531,3 @@ class EventDrivenMultiSession(EventLoopCore, MultiSession):
         self.fast_forward_jumps += 1
         return False
 
-
-def run_shared_link(
-    spec_or_names: Sequence,
-    schedule: BandwidthSchedule,
-    *,
-    duration_s: float = 300.0,
-    content_duration_s: Optional[float] = None,
-    dt: float = 0.1,
-    rtt_s: float = 0.05,
-    content_seed: int = 11,
-    fast_forward: bool = False,
-    faults: Optional[FaultSpec] = None,
-    engine: str = "tick",
-) -> list[ClientResult]:
-    """Deprecated positional-signature shim over the FleetSpec path.
-
-    Build a :class:`~repro.core.fleet.FleetSpec` with an explicit
-    roster (``services=`` one entry per client, ``clients=None``) and
-    run it through :func:`~repro.core.fleet.run_fleet` instead — the
-    spec-first call is picklable, cacheable and sweepable.  This shim
-    routes through exactly that path and returns the same live
-    :class:`ClientResult` list the old helper produced.
-    """
-    warnings.warn(
-        "run_shared_link is deprecated; build a FleetSpec and call "
-        "repro.core.fleet.run_fleet (keep_results=True for live handles)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.core.fleet import FleetSpec, run_fleet
-
-    spec = FleetSpec(
-        services=tuple(spec_or_names),
-        duration_s=duration_s,
-        content_duration_s=content_duration_s,
-        dt=dt,
-        rtt_s=rtt_s,
-        content_seed=content_seed,
-        fast_forward=fast_forward,
-        faults=faults,
-        schedule=schedule,
-        engine=engine,
-    )
-    outcome = run_fleet(spec, keep_results=True)
-    return list(outcome.results)

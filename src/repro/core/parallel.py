@@ -1,21 +1,21 @@
-"""Parallel sweep engine: fan the paper's grid over worker processes.
+"""Run specs and records: the picklable currency of every sweep.
 
 The methodology of section 2.6 is a sweep — 12 services x 14 cellular
 profiles x repetitions, 10 minutes each — and every run is independent
-of every other.  :class:`SweepRunner` exploits that: it describes each
-run as a picklable :class:`RunSpec`, executes the grid on a
-``ProcessPoolExecutor`` (or in process with ``workers=0``), and returns
-compact :class:`RunRecord` summaries instead of live player/proxy
-graphs.
+of every other.  This module describes one run as a picklable
+:class:`RunSpec` and its result as a compact :class:`RunRecord`
+(:func:`record_from_result`) instead of live player/proxy graphs, so
+:func:`repro.core.run.execute` can fan specs over worker processes,
+cache their outcomes and journal them.
 
 Determinism guarantees:
 
-* records come back in the exact order of the submitted specs
-  regardless of which worker finished first (``Executor.map``);
 * a record is a pure function of its spec — the simulation seeds
   everything from the spec and nothing in a record depends on wall
   time or worker identity — so ``workers=N`` and ``workers=0`` produce
-  bit-identical sequences.
+  bit-identical sequences;
+* :class:`TickStats` carries the tick accounting that legitimately
+  differs between the tick and event engines, kept out of the record.
 
 Workers warm the per-process asset-encoding cache
 (:mod:`repro.media.cache`) on their first run of each (service,
@@ -29,9 +29,8 @@ alive across calls.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar, Union
+from typing import Hashable, Optional, Union
 
 from repro.analysis.faults import FaultSpec
 from repro.analysis.proxy import ManifestRewriter
@@ -57,9 +56,6 @@ from repro.services.profiles import (
     build_service,
     get_service,
 )
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -89,10 +85,6 @@ class RunSpec:
     rtt_s: float = 0.05
     content_seed: Optional[int] = None  # default: DEFAULT_CONTENT_SEED + repetition
     content_duration_s: Optional[float] = None
-    fast_forward: bool = False
-    # None follows fast_forward; False isolates idle-only batching
-    # (benchmarks use it to attribute speedup between the two layers).
-    transfer_fast_forward: Optional[bool] = None
     trace: Optional[CellularTrace] = None  # overrides (profile_id, trace_seed)
     trace_duration_s: Optional[float] = None
     trace_seed: int = TRACE_SEED
@@ -105,10 +97,10 @@ class RunSpec:
     schedule: Optional[BandwidthSchedule] = None
     # Observability: per-run trace sink description (None = disabled).
     tracing: Optional[TraceConfig] = None
-    # Simulation engine: "tick" is the per-tick oracle loop (with its
-    # optional fast-forward layers), "event" the event-driven core
-    # (core/events.py) that is pinned byte-identical to it.  Part of
-    # the compared spec, so it participates in the outcome-cache key.
+    # Simulation engine: "tick" is the per-tick oracle loop, "event"
+    # the event-driven core (core/events.py) that is pinned
+    # byte-identical to it.  Part of the compared spec, so it
+    # participates in the outcome-cache key.
     engine: str = "tick"
 
     @property
@@ -147,7 +139,7 @@ class RunSpec:
         """Materialise the spec into a ready-to-run :class:`Session`.
 
         The single construction path behind every entry point
-        (``run_one``, ``execute``, the deprecated shims): encode + host
+        (``run_one``, ``execute``): encode + host
         the service, apply ``config_overrides`` (or an explicit
         ``player_config`` — live-object extras like it and
         ``manifest_rewriter`` exist for in-process callers and never
@@ -187,8 +179,6 @@ class RunSpec:
             rtt_s=self.rtt_s,
             manifest_rewriter=manifest_rewriter,
             reject_after_segments=reject_after_segments,
-            fast_forward=self.fast_forward,
-            transfer_fast_forward=self.transfer_fast_forward,
             faults=self.faults,
             obs=obs,
         )
@@ -290,33 +280,15 @@ def record_from_result(spec: RunSpec, result: SessionResult) -> RunRecord:
     )
 
 
-def _session_for_spec(spec: RunSpec) -> Session:
-    return spec.build()
-
-
-def execute_run_spec(spec: RunSpec) -> RunRecord:
-    """Run one spec to completion (module level, hence pool-picklable)."""
-    session = _session_for_spec(spec)
-    result = session.run(spec.duration_s)
-    return record_from_result(spec, result)
-
-
-def execute_run_spec_with_result(
-    spec: RunSpec,
-) -> tuple[RunRecord, SessionResult]:
-    """Serial-only variant that also keeps the live session result."""
-    session = _session_for_spec(spec)
-    result = session.run(spec.duration_s)
-    return record_from_result(spec, result), result
-
-
 @dataclass(frozen=True)
 class TickStats:
     """How a session's simulated ticks were actually executed.
 
     Kept out of :class:`RunRecord` on purpose: records are compared
-    with ``==`` across serial / parallel / fast-forward backends, and
-    tick accounting is exactly the thing that differs between them.
+    with ``==`` across backends and engines, and tick accounting is
+    exactly the thing that differs between the tick and event engines
+    (the tick engine executes every tick; the event engine batches
+    idle and transfer windows).
     """
 
     ticks_executed: int  # full serial loop iterations
@@ -360,13 +332,6 @@ class TickStats:
 TickStats.ZERO = TickStats(0, 0, 0, 0, 0)
 
 
-def execute_run_spec_with_stats(spec: RunSpec) -> tuple[RunRecord, TickStats]:
-    """Like :func:`execute_run_spec`, plus tick-execution accounting."""
-    session = _session_for_spec(spec)
-    result = session.run(spec.duration_s)
-    return record_from_result(spec, result), TickStats.from_session(session)
-
-
 def default_worker_count() -> int:
     """Workers to use when unspecified: leave one core free, cap at 8.
 
@@ -375,103 +340,3 @@ def default_worker_count() -> int:
     """
     return max(0, min(8, (os.cpu_count() or 1) - 1))
 
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    *,
-    workers: Optional[int] = None,
-    chunksize: int = 1,
-    reuse_pool: bool = True,
-) -> list[R]:
-    """Ordered map over worker processes, serial when ``workers`` <= 0.
-
-    ``fn`` must be a module-level callable and items/results must be
-    picklable.  Results preserve the order of ``items``.  By default
-    the map runs on the process-wide persistent pool
-    (:func:`repro.core.pool.worker_pool`) so repeated sweeps share one
-    set of warmed workers; ``reuse_pool=False`` restores the old
-    spawn-and-tear-down behaviour (benchmarks use it as the cold
-    baseline).
-    """
-    from repro.core.pool import worker_pool
-
-    items = list(items)
-    if workers is None:
-        workers = default_worker_count()
-    if workers <= 0 or len(items) <= 1:
-        return [fn(item) for item in items]
-    if reuse_pool:
-        return worker_pool(workers).map(fn, items, chunksize=chunksize)
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
-
-
-def sweep_grid(
-    services: Sequence[Union[str, ServiceSpec]],
-    profile_ids: Sequence[int],
-    *,
-    repetitions: int = 1,
-    **spec_kwargs,
-) -> list[RunSpec]:
-    """Specs for a full services x profiles x repetitions grid.
-
-    Ordered service-major, then profile, then repetition — the same
-    nesting the serial helpers use.
-    """
-    return [
-        RunSpec(
-            service=service,
-            profile_id=profile_id,
-            repetition=repetition,
-            **spec_kwargs,
-        )
-        for service in services
-        for profile_id in profile_ids
-        for repetition in range(repetitions)
-    ]
-
-
-class SweepRunner:
-    """Execute a sequence of :class:`RunSpec`s, serially or in parallel.
-
-    ``workers=0`` runs in process; ``workers=N`` fans out over N worker
-    processes; ``workers=None`` picks :func:`default_worker_count`.
-    Either way the returned records are identical, in spec order.
-    """
-
-    def __init__(self, workers: Optional[int] = None, *, chunksize: int = 1):
-        if workers is None:
-            workers = default_worker_count()
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        if chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-        self.workers = workers
-        self.chunksize = chunksize
-
-    def run(self, specs: Sequence[RunSpec]) -> list[RunRecord]:
-        return parallel_map(
-            execute_run_spec,
-            specs,
-            workers=self.workers,
-            chunksize=self.chunksize,
-        )
-
-    def run_with_results(
-        self, specs: Sequence[RunSpec]
-    ) -> list[tuple[RunRecord, SessionResult]]:
-        """In-process execution that keeps live results (never parallel:
-        sessions hold unpicklable object graphs)."""
-        return [execute_run_spec_with_result(spec) for spec in specs]
-
-    def run_with_stats(
-        self, specs: Sequence[RunSpec]
-    ) -> list[tuple[RunRecord, TickStats]]:
-        """Like :meth:`run`, but each record carries its tick accounting."""
-        return parallel_map(
-            execute_run_spec_with_stats,
-            specs,
-            workers=self.workers,
-            chunksize=self.chunksize,
-        )

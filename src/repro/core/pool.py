@@ -1,7 +1,6 @@
 """Persistent worker pool: one process fan-out, reused across sweeps.
 
-Before the sweep fabric, every ``execute()`` / ``parallel_map`` call
-built a fresh ``ProcessPoolExecutor`` and tore it down on return.  A
+Before the sweep fabric, every parallel ``execute()`` call built a fresh ``ProcessPoolExecutor`` and tore it down on return.  A
 CLI invocation that sweeps service-by-service, a black-box probe
 battery, or a benchmark that re-runs the grid therefore paid pool
 spawn — and, worse, worker-side asset-encode warm-up — once *per

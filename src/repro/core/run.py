@@ -1,10 +1,7 @@
 """The unified run API: one entry point for every way to execute runs.
 
-Historically the repo grew three divergent entry points — ``run_session``
-(one live session), ``run_service_over_profiles`` (a serial-or-parallel
-profile sweep with its own kwargs), and the resilience sweep (raw
-``SweepRunner`` plumbing).  This module collapses them onto a single
-RunSpec-first shape:
+Every way to run the simulator — one live session, a profile sweep, a
+resilience grid, a fleet — goes through a single RunSpec-first shape:
 
     spec = RunSpec(service="H1", profile_id=9, duration_s=120.0)
     outcome = run_one(spec, tracer=True)       # one run, live result

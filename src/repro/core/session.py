@@ -24,7 +24,7 @@ from repro.net.clock import Clock
 from repro.net.network import Network
 from repro.net.rrc import RrcMachine
 from repro.net.schedule import BandwidthSchedule
-from repro.obs import FfJump, Observability
+from repro.obs import Observability
 from repro.player.config import PlayerConfig
 from repro.player.events import EventLog
 from repro.player.player import Player, PlayerState
@@ -122,19 +122,13 @@ class Session:
         manifest_rewriter: Optional[ManifestRewriter] = None,
         reject_after_segments: Optional[int] = None,
         player_config: Optional[PlayerConfig] = None,
-        fast_forward: bool = False,
-        transfer_fast_forward: Optional[bool] = None,
         faults: Optional[FaultSpec] = None,
         obs: Optional[Observability] = None,
     ):
         self.built = built
         self.obs = obs if obs is not None else Observability()
-        self.fast_forward = fast_forward
-        # Transfer batching rides on the fast_forward switch; the
-        # sub-flag exists so benchmarks can isolate idle-only batching.
-        self.transfer_fast_forward = (
-            fast_forward if transfer_fast_forward is None else transfer_fast_forward
-        )
+        # Tick accounting: the plain loop only executes ticks; the
+        # batched counters are filled by the event engine's jumps.
         self.ticks_executed = 0
         self.fast_forwarded_ticks = 0
         self.fast_forward_jumps = 0
@@ -184,12 +178,6 @@ class Session:
             return self._run_profiled(duration_s)
         dt = self.clock.dt
         while self.clock.now < duration_s - 1e-9:
-            if self.fast_forward and self._try_fast_forward(duration_s):
-                continue
-            if self.transfer_fast_forward and self._try_transfer_fast_forward(
-                duration_s
-            ):
-                continue
             before = self.network.link.total_bytes_delivered
             self.network.advance(dt)
             radio_active = self.network.link.total_bytes_delivered > before
@@ -212,22 +200,9 @@ class Session:
         profiler = self.obs.profiler
         assert profiler is not None
         dt = self.clock.dt
-        wall = {"fast_forward": 0.0, "network": 0.0, "player": 0.0,
-                "rrc": 0.0}
-        calls = {"fast_forward": 0, "network": 0, "player": 0, "rrc": 0}
+        wall = {"network": 0.0, "player": 0.0, "rrc": 0.0}
+        calls = {"network": 0, "player": 0, "rrc": 0}
         while self.clock.now < duration_s - 1e-9:
-            if self.fast_forward or self.transfer_fast_forward:
-                t0 = perf_counter()
-                jumped = (
-                    self.fast_forward and self._try_fast_forward(duration_s)
-                ) or (
-                    self.transfer_fast_forward
-                    and self._try_transfer_fast_forward(duration_s)
-                )
-                wall["fast_forward"] += perf_counter() - t0
-                calls["fast_forward"] += 1
-                if jumped:
-                    continue
             t0 = perf_counter()
             before = self.network.link.total_bytes_delivered
             self.network.advance(dt)
@@ -255,97 +230,6 @@ class Session:
             profiler.add(phase, seconds, calls[phase])
         return result
 
-    def _try_fast_forward(self, duration_s: float) -> bool:
-        """Jump over a provably idle stretch; True if the clock moved.
-
-        Safe to skip ``network.advance`` entirely: with no transfer on
-        any connection the link moves no bytes and connection control is
-        a no-op, so the serial loop's only per-tick effects are the
-        player's playhead/UI updates (replayed exactly by
-        ``apply_noop_ticks``), RRC idle observations and clock ticks —
-        all replayed below, tick by tick, with identical arithmetic.
-        """
-        player = self.player
-        if player.state is not PlayerState.PLAYING:
-            return False
-        if player.scheduler.busy:
-            return False
-        if any(conn.transfer is not None for conn in self.network.connections):
-            return False
-        dt = self.clock.dt
-        max_ticks = int((duration_s - 1e-9 - self.clock.now) / dt)
-        if max_ticks < 2:
-            return False
-        ticks = player.idle_noop_ticks(dt, max_ticks)
-        # Fault change points (including no-op resets) must execute on
-        # the serial path so the fault cursor advances identically.
-        ticks = self.network.fault_horizon_ticks(ticks, dt)
-        if ticks < 2:
-            return False
-        window_start = self.clock.now
-        player.apply_noop_ticks(ticks, dt)
-        for _ in range(ticks):
-            self.rrc.observe(False, dt)
-            self.clock.tick()
-        self.fast_forwarded_ticks += ticks
-        self.fast_forward_jumps += 1
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            tracer.emit(FfJump(at=window_start, layer="idle", ticks=ticks,
-                               end_s=self.clock.now))
-        return True
-
-    def _try_transfer_fast_forward(self, duration_s: float) -> bool:
-        """Batch ticks through an active download; True if the clock moved.
-
-        Every layer must certify the window first: the network that its
-        per-tick dynamics are pure delivery arithmetic
-        (``steady_for_batching``), the schedule that capacity is constant
-        (``advance_many`` clamps at ``next_change_at``), the player that
-        it will neither submit nor react (``transfer_noop_ticks``), and
-        each transfer that it cannot complete (``slow_start_horizon_ticks``
-        — advisory; ``advance_many`` re-checks exactly and stops *before*
-        any completing tick, which then runs serially).  Within such a
-        window the subsystems do not interact, so replaying them grouped
-        — network micro-loop, then player no-op ticks, then RRC + clock —
-        lands on states identical to the interleaved serial loop.
-        """
-        network = self.network
-        if not network.steady_for_batching():
-            return False
-        dt = self.clock.dt
-        max_ticks = int((duration_s - 1e-9 - self.clock.now) / dt)
-        if max_ticks < 2:
-            return False
-        ticks = self.player.transfer_noop_ticks(dt, max_ticks)
-        if ticks < 2:
-            return False
-        # Effective capacity folds tick-level faults (dead air) in; the
-        # slow-start horizon then correctly treats the window as one in
-        # which nothing can complete.  advance_many applies its own
-        # fault clamp so no injected event is ever batched across.
-        capacity = network.effective_capacity(self.clock.now)
-        for connection in network.connections:
-            if connection.transfer is not None:
-                ticks = connection.slow_start_horizon_ticks(capacity, dt, ticks)
-                if ticks < 2:
-                    return False
-        executed, activity, _ = network.advance_many(ticks, dt)
-        if executed <= 0:
-            return False
-        window_start = self.clock.now
-        self.player.apply_noop_ticks(executed, dt)
-        for radio_active in activity:
-            self.rrc.observe(radio_active, dt)
-            self.clock.tick()
-        self.transfer_fast_forwarded_ticks += executed
-        self.transfer_fast_forward_jumps += 1
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            tracer.emit(FfJump(at=window_start, layer="transfer",
-                               ticks=executed, end_s=self.clock.now))
-        return True
-
     def _finish(self) -> SessionResult:
         analyzer = TrafficAnalyzer()
         analyzer.observe_flows(self.proxy.flows)
@@ -372,8 +256,8 @@ class Session:
         Everything recorded here is a pure function of the run's inputs
         (nothing wall-clock- or process-dependent), preserving the
         sweep engine's workers=0 == workers=N aggregation contract.
-        Tick-mode counters differ across fast-forward settings — like
-        TickStats, and by design: they *measure* the batching.
+        Tick-mode counters differ between the tick and event engines —
+        like TickStats, and by design: they *measure* the batching.
         """
         metrics = self.obs.metrics
         metrics.counter("session.runs").inc()

@@ -4,9 +4,9 @@ The fault plane is the network-side half of the robustness testbed
 (origin-side faults live in ``repro.analysis.faults``).  Everything
 here is deterministic and schedule-driven so a faulted run is exactly
 reproducible, and every discontinuity a fault introduces is exposed
-through :meth:`TransportFaultPlane.next_change_at` so the transfer
-fast-forward (``Network.advance_many``) never batches across one —
-serial and fast-forwarded runs stay byte-identical under faults.
+through :meth:`TransportFaultPlane.next_change_at` so batched ticks
+(``Network.advance_many``) never cross one — the tick and event
+engines stay byte-identical under faults.
 
 Fault semantics:
 
@@ -106,7 +106,7 @@ class TransportFaultPlane:
             fired += 1
         return fired
 
-    # -- fast-forward contract ------------------------------------------
+    # -- batching contract ------------------------------------------
 
     def next_change_at(self, t: float) -> float:
         """Earliest time > ``t`` (or an unfired reset <= ``t``) at which

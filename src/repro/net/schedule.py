@@ -26,7 +26,7 @@ class BandwidthSchedule(Protocol):
     def next_change_at(self, time_s: float) -> float:
         """Earliest ``t > time_s`` at which the rate may differ.
 
-        Contract for the fast-forward machinery: ``bandwidth_at`` is
+        Contract for the tick-batching machinery: ``bandwidth_at`` is
         constant over ``[time_s, next_change_at(time_s))``.  Returning
         ``math.inf`` promises the rate never changes again; a
         conservative implementation may return any smaller time, at the

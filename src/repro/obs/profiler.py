@@ -1,7 +1,7 @@
 """Profiling hooks: per-phase wall-time and call accounting.
 
 The session loop (the hot path of million-session sweeps) is split into
-named phases — player step, network advance, fast-forward probing — and
+named phases — network advance, RRC, player step, finish — and
 an opt-in profiler accumulates real wall-clock time per phase.  The
 default run loop is untouched when profiling is off; the profiled loop
 is a separate method, so the zero-overhead contract of the tracer also

@@ -2,12 +2,12 @@
 
 The paper's methodology observes a session from the outside (proxy
 flows, 1 Hz UI samples); this module is the matching *inside* view — a
-structured record of what the scheduler, player and fast-forward layers
+structured record of what the scheduler, player and simulation engine
 actually decided.  Emission sites only ever fire on serially-executed
-ticks (submissions, completions, failures, state transitions), so a
-fast-forwarded run produces the same semantic trace as a serial one;
-the batching layers additionally emit ``ff_jump`` *meta* events whose
-span boundaries cover each batched window.
+ticks (submissions, completions, failures, state transitions), so an
+event-engine run produces the same semantic trace as a tick-engine
+one; batched windows additionally emit *meta* jump events whose span
+boundaries cover each batched window.
 
 Design rules:
 
@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 from typing import IO, ClassVar, Iterable, Optional, Protocol, Union, runtime_checkable
 
 #: Event kinds that describe the *simulation* rather than the session
-#: (fast-forward and event-engine jumps).  They legitimately differ
+#: (batched-window jumps).  They legitimately differ
 #: between serial and batched executions and are excluded from
 #: :func:`semantic_trace`.
 META_KINDS = frozenset({"ff_jump", "event_jump"})
@@ -109,7 +109,7 @@ class RetryEvent(TraceEvent):
 
 @dataclass(frozen=True)
 class FfJump(TraceEvent):
-    """A fast-forward layer batched ``ticks`` ticks into one jump (meta).
+    """A batching layer replayed ``ticks`` ticks in one jump (meta).
 
     ``at`` is the window start and ``end_s`` the clock after the jump,
     so the synthesized span covers exactly the batched window.

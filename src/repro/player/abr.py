@@ -52,7 +52,7 @@ class AbrAlgorithm(Protocol):
 # output can only change when ``ctx.buffer_s`` crosses one of the
 # returned occupancy values.  During an idle window the buffer drains
 # monotonically, so the player may skip ticks up to the next crossing.
-# Algorithms without the method are never fast-forwarded.
+# Algorithms without the method are never batched over.
 
 
 def track_rate_bps(

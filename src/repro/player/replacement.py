@@ -71,7 +71,7 @@ class ReplacementPolicy(Protocol):
 # drains, ``selected_level``/``last_fetched_level`` fixed) up to but
 # excluding the returned time.  ``math.inf`` means "never during such a
 # window"; returning ``ctx.now`` means "might act immediately".
-# Policies without the method are never fast-forwarded.
+# Policies without the method are never batched over.
 
 
 class NoReplacement:

@@ -225,8 +225,8 @@ class Scheduler:
             ) or None,
         )
         if self.tracer.enabled:
-            # Completions only ever run on serial ticks (both
-            # fast-forward layers stop before any completing tick), so
+            # Completions only ever run on serial ticks (batched
+            # windows stop before any completing tick), so
             # these span boundaries are exact in batched runs too.
             self.tracer.emit(
                 DownloadSpan(

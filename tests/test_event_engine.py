@@ -21,11 +21,7 @@ from repro.blackbox.resilience import run_resilience_sweep, standard_fault_scena
 from repro.cli import main
 from repro.core.events import EventDrivenSession
 from repro.core.outcome_cache import spec_key
-from repro.core.parallel import (
-    RunSpec,
-    TickStats,
-    execute_run_spec_with_result,
-)
+from repro.core.parallel import RunSpec, TickStats
 from repro.core.run import run_one
 from repro.net.schedule import StepSchedule, TraceSchedule
 from repro.obs import semantic_trace
@@ -53,13 +49,11 @@ def _assert_identical(serial, event):
 
 
 def _run_pair(spec):
-    record_s, result_s = execute_run_spec_with_result(spec)
-    record_e, result_e = execute_run_spec_with_result(
-        replace(spec, engine="event")
-    )
-    assert record_e == record_s
-    _assert_identical(result_s, result_e)
-    return result_s, result_e
+    serial = run_one(spec)
+    event = run_one(replace(spec, engine="event"))
+    assert event.record == serial.record
+    _assert_identical(serial.result, event.result)
+    return serial.result, event.result
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +97,10 @@ def test_identity_under_faults(scenario):
 
 def test_resilience_sweep_identical_across_engines():
     report_tick = run_resilience_sweep(
-        ["H1", "D3"], profile_id=9, duration_s=DURATION_S, fast_forward=False
+        ["H1", "D3"], profile_id=9, duration_s=DURATION_S, engine="tick"
     )
     report_event = run_resilience_sweep(
-        ["H1", "D3"], profile_id=9, duration_s=DURATION_S,
-        fast_forward=False, engine="event",
+        ["H1", "D3"], profile_id=9, duration_s=DURATION_S, engine="event"
     )
     assert report_event.cells == report_tick.cells
     assert report_event.engine == "event"
@@ -119,10 +112,11 @@ def test_semantic_trace_equal_across_engines():
     tick = run_one(spec, tracer=True)
     event = run_one(replace(spec, engine="event"), tracer=True)
     assert semantic_trace(event.trace) == semantic_trace(tick.trace)
-    # The meta layer differs on purpose: the event engine emits
-    # event_jump windows instead of ff_jump windows.
+    # The meta layer differs on purpose: only the event engine batches,
+    # and it marks each batched window with an event_jump.
     kinds = {e.kind for e in event.trace}
     assert "event_jump" in kinds and "ff_jump" not in kinds
+    assert "event_jump" not in {e.kind for e in tick.trace}
 
 
 # ---------------------------------------------------------------------------
@@ -230,3 +224,22 @@ def test_cli_compare_accepts_engine(capsys, tmp_path):
     assert code == 0
     payload = path.read_text()
     assert "session.dispatches" in payload
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "H1", "--fast-forward"],
+        ["compare", "H1", "--fast-forward"],
+        ["fleet", "H1", "--fast-forward"],
+        ["resilience", "H1", "--no-fast-forward"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_engine_is_the_only_speed_knob(argv, capsys):
+    """Speed is chosen with --engine alone; the tick-engine
+    fast-forward flags are not accepted any more."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,8 +1,8 @@
-"""The composable fault plane: models, wiring, and fast-forward safety.
+"""The composable fault plane: models, wiring, and batching safety.
 
 The load-bearing guarantee is the change-point contract: no injected
-fault may ever be batched across by either fast-forward layer, so a
-faulted run serializes byte-identically with fast-forward on and off.
+fault may ever be batched across by the event engine, so a faulted run
+serializes byte-identically on the tick and event engines.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from repro.analysis.faults import (
     SeededTruncation,
 )
 from repro.analysis.serialize import capture_to_json
-from repro.core.parallel import RunSpec, execute_run_spec_with_result
+from repro.core.parallel import RunSpec
+from repro.core.run import run_one
 from tests.support import run_session
 from repro.net.clock import Clock
 from repro.net.faults import (
@@ -288,7 +289,7 @@ def _assert_identical(serial, other):
 
 @pytest.mark.parametrize("name", ALL_SERVICE_NAMES)
 def test_grid_invariance_under_faults(name):
-    """Serial, idle-only ff and full ff are byte-identical under faults."""
+    """The tick and event engines are byte-identical under faults."""
     for profile_id in (2, 9):
         spec = RunSpec(
             service=name,
@@ -296,17 +297,12 @@ def test_grid_invariance_under_faults(name):
             duration_s=45.0,
             faults=GRID_FAULTS,
         )
-        record_s, result_s = execute_run_spec_with_result(spec)
-        record_i, result_i = execute_run_spec_with_result(
-            replace(spec, fast_forward=True, transfer_fast_forward=False)
+        serial = run_one(spec)
+        event = run_one(replace(spec, engine="event"))
+        assert event.record == serial.record, (
+            f"event engine diverged on profile {profile_id}"
         )
-        record_f, result_f = execute_run_spec_with_result(
-            replace(spec, fast_forward=True)
-        )
-        assert record_i == record_s, f"idle-ff diverged on profile {profile_id}"
-        assert record_f == record_s, f"transfer-ff diverged on profile {profile_id}"
-        _assert_identical(result_s, result_i)
-        _assert_identical(result_s, result_f)
+        _assert_identical(serial.result, event.result)
 
 
 def test_record_counts_resilience_fields():
@@ -316,7 +312,8 @@ def test_record_counts_resilience_fields():
         duration_s=45.0,
         faults=FaultSpec(reset_times=(5.0, 9.0)),
     )
-    record, result = execute_run_spec_with_result(spec)
+    outcome = run_one(spec)
+    record, result = outcome.record, outcome.result
     failed = result.events.of_type(DownloadFailed)
     assert record.download_failures == len(failed) > 0
     assert record.downloads_given_up == sum(1 for e in failed if e.gave_up)

@@ -6,7 +6,7 @@ The load-bearing guarantees:
   (the tick oracle) on BOTH engines — the fleet layer adds naming,
   seeding and bookkeeping, never simulation semantics;
 * churn (mid-run arrivals/departures) preserves the tick/event
-  identity, fast-forward included;
+  identity, including across the event engine's batched windows;
 * the same FleetSpec run twice produces ``==`` outcomes and identical
   JSON (the determinism gate CI enforces);
 * FleetSpec flows through ``execute()``, the outcome cache and
@@ -29,11 +29,7 @@ from repro.core.fleet import (
     run_fleet,
     summarize_population,
 )
-from repro.core.multi import (
-    EventDrivenMultiSession,
-    MultiSession,
-    run_shared_link,
-)
+from repro.core.multi import EventDrivenMultiSession, MultiSession
 from repro.core.outcome_cache import OutcomeCache
 from repro.core.run import execute
 from repro.net.schedule import ConstantSchedule, StepSchedule
@@ -114,12 +110,18 @@ class TestChurn:
         assert tick.population == event.population
 
     def test_fast_forward_preserves_churn_identity(self):
-        plain = run_fleet(self.CHURN_SPEC)
-        jumped = run_fleet(dataclasses.replace(
-            self.CHURN_SPEC, engine="event", fast_forward=True
-        ))
+        """Dense churn: arrivals and departures land inside the event
+        engine's batched windows, which must clamp before each one."""
+        spec = dataclasses.replace(
+            self.CHURN_SPEC, clients=8, arrival_rate_per_s=0.3,
+            mean_dwell_s=20.0, churn_seed=7,
+        )
+        plain = run_fleet(spec)
+        jumped = run_fleet(dataclasses.replace(spec, engine="event"))
         assert jumped.clients == plain.clients
+        assert jumped.population == plain.population
         assert jumped.tick_stats.idle_fast_forward_jumps > 0
+        assert any(c.final_state == "departed" for c in plain.clients)
 
     def test_roster_is_deterministic_and_seed_sensitive(self):
         first = self.CHURN_SPEC.roster()
@@ -248,22 +250,6 @@ class TestDeviceClasses:
         # A 120 s pause threshold buffers further ahead than 60 s.
         assert (tv_outcome.clients[0].qoe.total_bytes
                 >= default_outcome.clients[0].qoe.total_bytes)
-
-
-class TestShim:
-    def test_run_shared_link_warns_and_matches_fleet(self):
-        spec = FleetSpec(services=("H1", "D1"), schedule=SCHEDULE,
-                         duration_s=60.0, content_duration_s=40.0,
-                         engine="tick")
-        outcome = run_fleet(spec)
-        with pytest.warns(DeprecationWarning, match="FleetSpec"):
-            legacy = run_shared_link(
-                ["H1", "D1"], SCHEDULE, duration_s=60.0,
-                content_duration_s=40.0,
-            )
-        assert [r.record for r in legacy] == list(outcome.clients)
-        # Live handles kept, like the old helper returned.
-        assert legacy[0].analyzer.downloads
 
 
 class TestJainIndex:

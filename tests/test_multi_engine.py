@@ -98,10 +98,22 @@ def test_multi_identity_grid(combo, schedule_name):
     _assert_identical(tick, event)
 
 
-@pytest.mark.parametrize("combo", COMBOS, ids=lambda c: "+".join(c))
-def test_multi_identity_under_faults(combo):
+FAULT_CASES = [(combo, "step_down") for combo in COMBOS] + [
+    # A pausing client (H6) next to a persistent one on an ample link:
+    # long all-idle stretches that the event engine batches across the
+    # fault plane's change points.
+    (["H1", "H6"], "constant"),
+]
+
+
+@pytest.mark.parametrize(
+    "combo, schedule_name", FAULT_CASES,
+    ids=["+".join(c) if s == "step_down" else "+".join(c) + "-" + s
+         for c, s in FAULT_CASES],
+)
+def test_multi_identity_under_faults(combo, schedule_name):
     tick, event = _run_pair(
-        combo, SCHEDULES["step_down"], faults=GRID_FAULTS
+        combo, SCHEDULES[schedule_name], faults=GRID_FAULTS
     )
     _assert_identical(tick, event)
 
@@ -183,30 +195,3 @@ def test_unknown_engine_rejected():
             services=("H1",), schedule=SCHEDULES["constant"],
             duration_s=10.0, engine="warp",
         )
-
-
-def test_fast_forward_tick_multi_unchanged_by_faults():
-    """The tick engine's idle fast-forward stays exact under faults."""
-    server_a = OriginServer()
-    server_b = OriginServer()
-
-    def _builts(server):
-        return [
-            build_service(
-                get_service(name), server, duration_s=CONTENT_S,
-                content_seed=11 + index,
-                base_url=f"https://cdn{index}.example.com",
-            )
-            for index, name in enumerate(["H1", "H6"])
-        ]
-
-    plain = MultiSession(
-        _builts(server_a), server_a, SCHEDULES["constant"],
-        faults=GRID_FAULTS,
-    )
-    fast = MultiSession(
-        _builts(server_b), server_b, SCHEDULES["constant"],
-        faults=GRID_FAULTS, fast_forward=True,
-    )
-    _assert_identical(plain.run(DURATION_S), fast.run(DURATION_S))
-    assert fast.fast_forwarded_ticks > 0

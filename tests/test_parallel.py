@@ -1,4 +1,8 @@
-"""Sweep engine: parallel == serial, encode cache, idle fast-forward."""
+"""Sweep engine: parallel == serial, encode cache, idle fast-forward.
+
+Idle fast-forward is the event engine's batching of provably idle
+stretches; the tick engine (the oracle) executes every tick.
+"""
 
 from __future__ import annotations
 
@@ -9,14 +13,10 @@ import pytest
 from repro.core.experiment import ProfileRun, profile_sweep_specs
 from repro.core.fleet import FleetSpec, run_fleet
 from repro.core.run import execute
-from repro.core.parallel import (
-    RunSpec,
-    SweepRunner,
-    default_worker_count,
-    execute_run_spec,
-    parallel_map,
-    sweep_grid,
-)
+from repro.core.events import EventDrivenSession
+from repro.core.parallel import RunSpec, default_worker_count
+from repro.core.pool import worker_pool
+from repro.core.run import run_one
 from repro.core.session import Session
 from tests.support import run_session
 from repro.media.cache import AssetCache, asset_cache, clear_asset_cache
@@ -34,19 +34,23 @@ from repro.util import mbps
 
 def test_parallel_records_equal_serial_on_grid():
     """The ISSUE's acceptance grid: 3 services x 3 profiles, workers on/off."""
-    specs = sweep_grid(["H1", "D2", "S2"], [1, 2, 3], duration_s=40.0)
-    serial = SweepRunner(workers=0).run(specs)
-    parallel = SweepRunner(workers=2).run(specs)
+    specs = [
+        RunSpec(service=service, profile_id=profile_id, duration_s=40.0)
+        for service in ("H1", "D2", "S2")
+        for profile_id in (1, 2, 3)
+    ]
+    serial = [o.record for o in execute(specs, workers=0)]
+    parallel = [o.record for o in execute(specs, workers=2)]
     assert serial == parallel
     assert [r.service_name for r in serial] == ["H1"] * 3 + ["D2"] * 3 + ["S2"] * 3
     assert [r.profile_id for r in serial] == [1, 2, 3] * 3
 
 
 def test_sweep_grid_order_and_repetitions():
-    specs = sweep_grid(["H1", "H2"], [4, 5], repetitions=2, duration_s=30.0)
+    profiles = [generate_trace(pid, 30) for pid in (4, 5)]
+    specs = profile_sweep_specs("H1", profiles, duration_s=30.0, repetitions=2)
     assert [(s.service, s.profile_id, s.repetition) for s in specs] == [
         ("H1", 4, 0), ("H1", 4, 1), ("H1", 5, 0), ("H1", 5, 1),
-        ("H2", 4, 0), ("H2", 4, 1), ("H2", 5, 0), ("H2", 5, 1),
     ]
     # repetition shifts the default content seed
     assert specs[0].resolved_content_seed + 1 == specs[1].resolved_content_seed
@@ -54,7 +58,7 @@ def test_sweep_grid_order_and_repetitions():
 
 def test_execute_run_spec_is_deterministic():
     spec = RunSpec(service="H4", profile_id=7, duration_s=40.0)
-    assert execute_run_spec(spec) == execute_run_spec(spec)
+    assert run_one(spec).record == run_one(spec).record
 
 
 def test_run_spec_config_overrides_apply():
@@ -65,14 +69,14 @@ def test_run_spec_config_overrides_apply():
         duration_s=60.0,
         config_overrides=(("startup_buffer_s", 2.0),),
     )
-    record_base = execute_run_spec(base)
-    record_tweaked = execute_run_spec(tweaked)
+    record_base = run_one(base).record
+    record_tweaked = run_one(tweaked).record
     assert record_tweaked.true_startup_delay_s < record_base.true_startup_delay_s
 
 
 def test_parallel_map_orders_results():
-    assert parallel_map(len, ["a", "bb", "ccc"], workers=2) == [1, 2, 3]
-    assert parallel_map(len, ["a", "bb"], workers=0) == [1, 2]
+    assert worker_pool(2).map(len, ["a", "bb", "ccc"]) == [1, 2, 3]
+    assert worker_pool(2).map(len, ["a", "bb"], chunksize=2) == [1, 2]
 
 
 def test_profile_sweep_parallel_matches_serial():
@@ -141,14 +145,14 @@ def test_asset_cache_lru_eviction():
 
 
 # ---------------------------------------------------------------------------
-# Idle-tick fast-forward
+# Idle-tick fast-forward (event engine vs the tick oracle)
 # ---------------------------------------------------------------------------
 
 
 def _run_pair(name, schedule, duration_s, **kwargs):
     ticked = run_session(name, schedule, duration_s=duration_s, **kwargs)
     jumped = run_session(
-        name, schedule, duration_s=duration_s, fast_forward=True, **kwargs
+        name, schedule, duration_s=duration_s, engine="event", **kwargs
     )
     return ticked, jumped
 
@@ -174,9 +178,7 @@ def test_fast_forward_invariant_over_cellular_trace(name):
 def test_fast_forward_actually_skips_ticks():
     server = OriginServer()
     built = build_service("H4", server, duration_s=180.0, content_seed=11)
-    session = Session(
-        built, server, ConstantSchedule(mbps(8)), fast_forward=True
-    )
+    session = EventDrivenSession(built, server, ConstantSchedule(mbps(8)))
     result = session.run(180.0)
     assert result.qoe is not None
     # H4 pauses for 20 s stretches and fully buffers the 180 s content:
@@ -194,11 +196,14 @@ def test_fast_forward_invariant_on_fully_buffered_tail():
 
 
 def test_fast_forward_off_by_default():
-    server = OriginServer()
-    built = build_service("H4", server, duration_s=60.0, content_seed=11)
-    session = Session(built, server, ConstantSchedule(mbps(8)))
+    # The default engine is the tick oracle: it executes every tick.
+    session = RunSpec(service="H4", schedule=ConstantSchedule(mbps(8)),
+                      duration_s=60.0).build()
+    assert type(session) is Session
     session.run(60.0)
     assert session.fast_forwarded_ticks == 0
+    assert session.transfer_fast_forwarded_ticks == 0
+    assert session.ticks_executed == 600
 
 
 def test_shared_link_fast_forward_matches_ticked():
@@ -206,9 +211,9 @@ def test_shared_link_fast_forward_matches_ticked():
     spec = FleetSpec(services=("H4", "S2"), schedule=schedule,
                      duration_s=90.0, content_duration_s=80.0, engine="tick")
     ticked = run_fleet(spec, keep_results=True).results
-    jumped = run_fleet(
-        replace(spec, fast_forward=True), keep_results=True
-    ).results
+    jumped_outcome = run_fleet(replace(spec, engine="event"), keep_results=True)
+    assert jumped_outcome.tick_stats.idle_fast_forward_jumps > 0
+    jumped = jumped_outcome.results
     for a, b in zip(ticked, jumped):
         assert a.qoe == b.qoe
         assert a.player.ui_samples == b.player.ui_samples

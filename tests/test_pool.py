@@ -20,7 +20,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.core.parallel import RunSpec, catalogue_key, parallel_map, sweep_grid
+from repro.core.parallel import RunSpec, catalogue_key
 from repro.core.pool import (
     WorkerPool,
     active_worker_pool,
@@ -44,9 +44,12 @@ def _fresh_pool():
 
 
 def _grid(services=("H1", "S1"), profiles=(2, 9)):
-    return sweep_grid(
-        services, profiles, duration_s=DURATION_S, fast_forward=True
-    )
+    return [
+        RunSpec(service=service, profile_id=profile_id,
+                duration_s=DURATION_S, engine="event")
+        for service in services
+        for profile_id in profiles
+    ]
 
 
 def _square(x):
@@ -245,7 +248,7 @@ def test_interleaved_services_on_warm_pool_match_serial():
             service=service,
             profile_id=profile_id,
             duration_s=DURATION_S,
-            fast_forward=True,
+            engine="event",
         )
         for profile_id in (2, 9)
         for service in ("H1", "S1", "H1", "D2")
@@ -264,14 +267,6 @@ def test_execute_after_close_recreates_pool_with_same_outcomes():
     close_worker_pool()
     second = execute(specs, workers=2)  # fresh pool
     assert first == second
-
-
-def test_parallel_map_reuse_pool_flag():
-    assert parallel_map(_square, [1, 2, 3], workers=2) == [1, 4, 9]
-    pool = active_worker_pool()
-    assert pool is not None
-    assert parallel_map(_square, [4, 5], workers=2, reuse_pool=False) == [16, 25]
-    assert active_worker_pool() is pool  # one-shot path left it alone
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +294,7 @@ def test_catalogue_key_groups_by_encode_inputs():
 def test_plan_chunks_keeps_catalogues_together():
     from repro.core.run import _plan_chunks
 
-    specs = sweep_grid(["H1", "S1", "D2"], range(1, 8), duration_s=DURATION_S)
+    specs = _grid(("H1", "S1", "D2"), range(1, 8))
     chunks = _plan_chunks(specs, workers=2, chunksize=None)
     # Every chunk is catalogue-pure and the cover is an exact partition.
     seen = []
@@ -315,7 +310,7 @@ def test_plan_chunks_keeps_catalogues_together():
 def test_plan_chunks_explicit_chunksize_is_flat():
     from repro.core.run import _plan_chunks
 
-    specs = sweep_grid(["H1", "S1"], range(1, 4), duration_s=DURATION_S)
+    specs = _grid(("H1", "S1"), range(1, 4))
     chunks = _plan_chunks(specs, workers=2, chunksize=4)
     assert chunks == [[0, 1, 2, 3], [4, 5]]
     with pytest.raises(ValueError, match="chunksize"):

@@ -12,7 +12,8 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.faults import ErrorBurst, FaultSpec, SeededErrors
-from repro.core.parallel import RunSpec, execute_run_spec_with_result
+from repro.core.parallel import RunSpec
+from repro.core.run import run_one
 from repro.blackbox.resilience import (
     run_resilience_sweep,
     standard_fault_scenarios,
@@ -274,7 +275,7 @@ def test_fixed_long_retry_stalls_longer_than_backoff():
             service="H5", profile_id=9, duration_s=60.0,
             config_overrides=(("retry_policy", policy),), faults=storm,
         )
-        return execute_run_spec_with_result(spec)[1]
+        return run_one(spec).result
 
     fixed_storm = storm_run(fixed_policy)
     backoff_storm = storm_run(backoff_policy)
@@ -313,11 +314,12 @@ def test_sweep_reproducible_across_workers_and_fast_forward():
         ["H5", "S2"], scenarios, profile_id=9, duration_s=40.0, workers=2
     )
     assert serial == parallel
-    no_ff = run_resilience_sweep(
+    assert serial.engine == "event"  # the sweep's fast default
+    tick = run_resilience_sweep(
         ["H5", "S2"], scenarios, profile_id=9, duration_s=40.0,
-        workers=0, fast_forward=False,
+        workers=0, engine="tick",
     )
-    assert no_ff.cells == serial.cells
+    assert tick.cells == serial.cells
 
 
 def test_sweep_report_shape_and_json():

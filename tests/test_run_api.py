@@ -20,12 +20,7 @@ from repro.core.experiment import (
     ProfileRun,
     profile_sweep_specs,
 )
-from repro.core.parallel import (
-    RunSpec,
-    SweepRunner,
-    execute_run_spec,
-    record_from_result,
-)
+from repro.core.parallel import RunSpec, record_from_result
 from repro.core.run import RunOutcome, execute, run_one
 from repro.core.session import ResultFieldMissing, SessionResult
 from tests.support import run_session
@@ -78,6 +73,17 @@ def test_run_one_profile_collects_phase_stats():
     assert all(stat.wall_s >= 0.0 for stat in outcome.profile)
 
 
+def test_tick_profile_phases_cover_every_tick():
+    """The oracle loop has no batching phase: every tick runs all three
+    layers once, and the finish phase runs once per session."""
+    outcome = run_one(_spec(), profile=True, keep_result=False)
+    calls = {stat.phase: stat.calls for stat in outcome.profile}
+    ticks = outcome.tick_stats.ticks_executed
+    assert ticks == outcome.tick_stats.ticks_simulated
+    assert calls == {"network": ticks, "rrc": ticks, "player": ticks,
+                     "finish": 1}
+
+
 def test_schedule_beats_profile_id():
     spec = _spec(schedule=ConstantSchedule(mbps(4.0)))
     assert spec.resolved_schedule() == ConstantSchedule(mbps(4.0))
@@ -86,16 +92,6 @@ def test_schedule_beats_profile_id():
 # ---------------------------------------------------------------------------
 # execute
 # ---------------------------------------------------------------------------
-
-
-def test_execute_matches_legacy_sweep_runner():
-    specs = [_spec(), _spec(service="S1")]
-    outcomes = execute(specs, workers=0)
-    legacy = SweepRunner(workers=0).run(specs)
-    assert [outcome.record for outcome in outcomes] == legacy
-    assert [outcome.record for outcome in outcomes] == [
-        execute_run_spec(spec) for spec in specs
-    ]
 
 
 def test_execute_validates_arguments():
@@ -128,6 +124,19 @@ def test_shims_are_gone():
         assert not hasattr(module, "run_session")
     for module in (repro, repro.core, repro.core.experiment):
         assert not hasattr(module, "run_service_over_profiles")
+    import repro.core.multi
+    import repro.core.parallel
+
+    for module in (repro, repro.core, repro.core.multi):
+        assert not hasattr(module, "run_shared_link")
+    for name in ("SweepRunner", "parallel_map", "sweep_grid",
+                 "execute_run_spec", "execute_run_spec_with_result",
+                 "execute_run_spec_with_stats"):
+        for module in (repro, repro.core, repro.core.parallel):
+            assert not hasattr(module, name), name
+    # One engine knob: the tick-engine fast-forward flags are gone.
+    assert not hasattr(RunSpec("H1"), "fast_forward")
+    assert not hasattr(RunSpec("H1"), "transfer_fast_forward")
 
 
 def test_support_run_session_matches_run_one():
@@ -242,7 +251,7 @@ def test_cli_compare_writes_metrics_json(capsys, tmp_path):
     path = tmp_path / "metrics.json"
     code = main([
         "compare", "H1", "--profiles", "2", "--duration", "30",
-        "--fast-forward", "--metrics-json", str(path),
+        "--engine", "event", "--metrics-json", str(path),
     ])
     assert code == 0
     payload = json.loads(path.read_text())

@@ -58,7 +58,7 @@ def _specs(profiles=(1, 5, 9)):
             service="H1",
             profile_id=profile_id,
             duration_s=DURATION_S,
-            fast_forward=True,
+            engine="event",
         )
         for profile_id in profiles
     ]

@@ -2,10 +2,10 @@
 
 The tentpole contract: every semantic emission site (download spans,
 ABR decisions, rebuffer spans, retries) fires only on serially-executed
-ticks, so a serial run, an idle-only fast-forwarded run and a fully
-fast-forwarded run of the same spec produce *identical* semantic
-traces — the batching layers only add ``ff_jump`` meta events whose
-boundaries cover the batched windows.  Likewise, per-run metrics are
+ticks, so a tick-engine run and an event-engine run (which
+fast-forwards through batched idle and transfer windows) of the same
+spec produce *identical* semantic traces — the event engine only adds
+``event_jump`` meta events whose boundaries cover the batched windows.  Likewise, per-run metrics are
 pure functions of the spec, so a parallel sweep aggregates to exactly
 the serial sweep's snapshot.
 """
@@ -17,9 +17,10 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.faults import FaultSpec, SeededErrors
-from repro.core.parallel import RunSpec, sweep_grid
+from repro.core.parallel import RunSpec
 from repro.core.run import aggregate_metrics, execute, run_one
 from repro.obs import semantic_trace
+from repro.obs.trace import META_KINDS
 
 PROFILE_ID = 9
 DURATION_S = 45.0
@@ -32,39 +33,35 @@ ALL_SERVICE_NAMES = (
 
 def _traces_for(spec):
     serial = run_one(spec, tracer=True, keep_result=False)
-    idle_only = run_one(
-        replace(spec, fast_forward=True, transfer_fast_forward=False),
-        tracer=True, keep_result=False,
+    event = run_one(
+        replace(spec, engine="event"), tracer=True, keep_result=False
     )
-    full = run_one(
-        replace(spec, fast_forward=True), tracer=True, keep_result=False
-    )
-    return serial, idle_only, full
+    return serial, event
 
 
 @pytest.mark.parametrize("name", ALL_SERVICE_NAMES)
 def test_semantic_trace_invariant_across_execution_modes(name):
     spec = RunSpec(service=name, profile_id=PROFILE_ID, duration_s=DURATION_S)
-    serial, idle_only, full = _traces_for(spec)
+    serial, event = _traces_for(spec)
     reference = semantic_trace(serial.trace)
     assert reference, f"{name}: serial trace is empty"
-    assert semantic_trace(idle_only.trace) == reference
-    assert semantic_trace(full.trace) == reference
+    assert semantic_trace(event.trace) == reference
     # The serial run never batches, so it carries no meta events.
-    assert all(event.kind != "ff_jump" for event in serial.trace)
+    assert all(e.kind not in META_KINDS for e in serial.trace)
 
 
-def test_ff_jump_spans_cover_batched_windows():
+def test_event_jump_spans_cover_batched_windows():
     spec = RunSpec(
         service="H1",
         profile_id=PROFILE_ID,
         duration_s=DURATION_S,
-        fast_forward=True,
+        engine="event",
     )
     outcome = run_one(spec, tracer=True, keep_result=False)
-    jumps = [event for event in outcome.trace if event.kind == "ff_jump"]
-    assert jumps, "fast-forwarded H1 run produced no ff_jump events"
-    assert {jump.layer for jump in jumps} <= {"idle", "transfer"}
+    jumps = [event for event in outcome.trace if event.kind == "event_jump"]
+    assert jumps, "event-engine H1 run produced no event_jump events"
+    assert {jump.layer for jump in jumps} <= {"idle", "stalled", "transfer"}
+    assert "transfer" in {jump.layer for jump in jumps}
     for jump in jumps:
         assert jump.ticks > 0
         assert jump.end_s > jump.at
@@ -78,26 +75,27 @@ def test_ff_jump_spans_cover_batched_windows():
 
 
 def test_trace_invariance_under_faults():
-    """Retry and rebuffer spans survive fast-forward unchanged."""
+    """Retry and rebuffer spans survive the event engine unchanged."""
     spec = RunSpec(
         service="H2",
         profile_id=2,
         duration_s=60.0,
         faults=FaultSpec(seeded_errors=(SeededErrors(rate=0.25),)),
     )
-    serial, idle_only, full = _traces_for(spec)
+    serial, event = _traces_for(spec)
     reference = semantic_trace(serial.trace)
-    assert semantic_trace(idle_only.trace) == reference
-    assert semantic_trace(full.trace) == reference
+    assert semantic_trace(event.trace) == reference
     kinds = {event.kind for _, event in reference}
     assert "retry" in kinds, "seeded 25% error rate produced no retries"
 
 
 def test_parallel_and_serial_sweeps_agree():
-    specs = sweep_grid(
-        ("H1", "D1"), (2, PROFILE_ID), duration_s=DURATION_S,
-        fast_forward=True,
-    )
+    specs = [
+        RunSpec(service=service, profile_id=profile_id,
+                duration_s=DURATION_S, engine="event")
+        for service in ("H1", "D1")
+        for profile_id in (2, PROFILE_ID)
+    ]
     serial = execute(specs, workers=0, tracer=True)
     parallel = execute(specs, workers=2, tracer=True)
     # RunOutcome compares spec, record, tick stats, metrics and trace.
@@ -127,7 +125,7 @@ def test_tick_mode_counters_shift_with_fast_forward():
     """Executed vs batched tick counters move, semantic totals don't."""
     spec = RunSpec(service="H1", profile_id=PROFILE_ID, duration_s=DURATION_S)
     serial = run_one(spec, keep_result=False)
-    jumped = run_one(replace(spec, fast_forward=True), keep_result=False)
+    jumped = run_one(replace(spec, engine="event"), keep_result=False)
     serial_metrics, ff_metrics = serial.metrics, jumped.metrics
     assert serial_metrics.total("session.ticks") == ff_metrics.total(
         "session.ticks"
