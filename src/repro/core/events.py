@@ -285,12 +285,15 @@ class EventLoopCore:
         clock = self.clock
         now = clock.now
         dt = clock.dt
+        share = None  # the link's fair share; fixed for the whole sync
         for job in jobs:
             key = id(job)
             live_keys.add(key)
             if key in estimates:
                 continue
-            ticks = self._estimate_completion_ticks(job, now, dt)
+            if share is None:
+                share = self._fair_share(now)
+            ticks = self._estimate_completion_ticks(job, now, dt, share)
             estimates[key] = queue.push(
                 now + ticks * dt, EventType.TRANSFER_COMPLETE, job
             )
@@ -299,16 +302,30 @@ class EventLoopCore:
             for key in [k for k in estimates if k not in live_keys]:
                 queue.cancel(estimates.pop(key))
 
-    def _estimate_completion_ticks(self, job, now: float, dt: float) -> int:
+    def _fair_share(self, now: float) -> float:
+        """The link capacity at ``now`` split across active transfers.
+
+        Sharing the capacity across active transfers biases completion
+        estimates *late* on parallel-connection services — a late
+        estimate costs nothing (the completion stop reason lands first
+        and the estimate is cancelled), while an early one would be
+        skimmed and re-derived.
+        """
+        network = self.network
+        capacity = network.effective_capacity(now)
+        active = sum(
+            1 for conn in network.connections if conn.transfer is not None
+        )
+        return capacity / active if active else capacity
+
+    def _estimate_completion_ticks(
+        self, job, now: float, dt: float, share: float
+    ) -> int:
         """Closed-form earliest completion for ``job``, in ticks.
 
         A job completes when its slowest part does, and each part's
-        slow-start horizon is a stays-incomplete bound under a fair
-        share of the link.  Sharing the capacity across active
-        transfers biases the estimate *late* on parallel-connection
-        services — a late estimate costs nothing (the completion stop
-        reason lands first and the estimate is cancelled), while an
-        early one would be skimmed and re-derived.
+        slow-start horizon is a stays-incomplete bound under ``share``
+        (see :meth:`_fair_share`).
         """
         remaining = int((self._limit - now) / dt) + 1
         if remaining < 1:
@@ -316,12 +333,6 @@ class EventLoopCore:
         parts = job.live_transfers()
         if not parts:
             return 1
-        network = self.network
-        capacity = network.effective_capacity(now)
-        active = sum(
-            1 for conn in network.connections if conn.transfer is not None
-        )
-        share = capacity / active if active else capacity
         ticks = 1
         for connection, _ in parts:
             horizon = connection.slow_start_horizon_ticks(share, dt, remaining)

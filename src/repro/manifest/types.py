@@ -66,6 +66,14 @@ class ClientTrackInfo:
     index_byte_range: tuple[int, int] | None = None
     media_url: str | None = None
     segments: list[ClientSegmentInfo] | None = None
+    # Memo of window_bitrate_bps, valid for the ``segments`` list it was
+    # filled from (a parsed timeline is replaced, never mutated).
+    _window_rates: dict[tuple[int, int], float | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _window_rates_for: list[ClientSegmentInfo] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def segments_loaded(self) -> bool:
@@ -76,6 +84,30 @@ class ClientTrackInfo:
         return bool(self.segments) and all(
             seg.size_bytes is not None for seg in self.segments
         )
+
+    def window_bitrate_bps(self, first: int, count: int) -> float | None:
+        """Mean actual bitrate of the sized segments among
+        ``segments[first:first + count]``; None when there are none."""
+        segments = self.segments
+        if segments is not self._window_rates_for:
+            self._window_rates = {}
+            self._window_rates_for = segments
+        key = (first, count)
+        rates = self._window_rates
+        if key not in rates:
+            window = [
+                seg
+                for seg in (segments or ())[first:first + count]
+                if seg.size_bytes is not None
+            ]
+            rates[key] = (
+                sum(seg.size_bytes for seg in window)  # type: ignore[misc]
+                * 8.0
+                / sum(seg.duration_s for seg in window)
+                if window
+                else None
+            )
+        return rates[key]
 
     def average_actual_bitrate_bps(self) -> float | None:
         if not self.has_segment_sizes:

@@ -24,6 +24,14 @@ class StreamType(enum.Enum):
     VIDEO = "video"
     AUDIO = "audio"
 
+    # Members are singletons, so identity hashing is consistent with
+    # Enum's identity equality, and it skips ``Enum.__hash__``'s
+    # Python-level ``hash(self._name_)`` on every dict/set lookup (the
+    # player keys its per-stream state by StreamType).  No digest or
+    # persisted output hashes a member, and the name hash it replaces
+    # was already randomised per process.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Segment:

@@ -73,15 +73,9 @@ def track_rate_bps(
     """
     if use_actual:
         if track.segments:
-            window = [
-                seg
-                for seg in track.segments[next_index:next_index + horizon]
-                if seg.size_bytes is not None
-            ]
-            if window:
-                total_bytes = sum(seg.size_bytes for seg in window)  # type: ignore[misc]
-                total_duration = sum(seg.duration_s for seg in window)
-                return total_bytes * 8.0 / total_duration
+            rate = track.window_bitrate_bps(next_index, horizon)
+            if rate is not None:
+                return rate
         if track.average_bandwidth_bps is not None:
             return track.average_bandwidth_bps
     return track.declared_bitrate_bps

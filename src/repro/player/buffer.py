@@ -19,6 +19,7 @@ run ahead of the playhead, because a hole stalls the renderer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.media.track import StreamType
@@ -56,6 +57,21 @@ class PlaybackBuffer:
         self._segments: dict[int, BufferedSegment] = {}
         self.discarded_segments: list[BufferedSegment] = []
         self.total_inserted_bytes = 0
+        # Run index (see DESIGN.md, "Player hot path").  ``_hit`` is the
+        # index of the last segment_covering hit, a hint that is always
+        # re-verified.  ``_at``/``_first`` memoise the covering segment
+        # of the last queried position; ``_run_*`` memoise the
+        # contiguous run starting at buffered index ``_run_index``.  Every
+        # mutator drops both memos via ``_invalidate``.  ``_min_end`` is a
+        # lower bound on every buffered ``end_s`` (exact after each
+        # consuming scan) that lets ``consume_until`` return early.
+        self._hit = -1
+        self._at: float | None = None
+        self._first: BufferedSegment | None = None
+        self._run_index: int | None = None
+        self._run_count = 0
+        self._run_end = 0.0
+        self._min_end = math.inf
 
     # -- inspection ----------------------------------------------------------
 
@@ -73,33 +89,54 @@ class PlaybackBuffer:
         return [self._segments[i] for i in sorted(self._segments)]
 
     def segment_covering(self, position_s: float) -> BufferedSegment | None:
-        for segment in self._segments.values():
-            if segment.start_s - 1e-9 <= position_s < segment.end_s - 1e-9:
-                return segment
-        return None
+        if position_s != self._at:
+            self._locate(position_s)
+        return self._first
 
     def contiguous_run_from(self, position_s: float) -> list[BufferedSegment]:
         """Segments playable without a gap starting at ``position_s``."""
-        first = self.segment_covering(position_s)
-        if first is None:
+        if position_s != self._at:
+            self._locate(position_s)
+        if self._first is None:
             return []
-        run = [first]
-        index = first.index + 1
-        while index in self._segments:
-            run.append(self._segments[index])
-            index += 1
-        return run
+        first = self._first.index
+        segments = self._segments
+        return [segments[i] for i in range(first, first + self._run_count)]
 
     def occupancy_s(self, position_s: float) -> float:
         """Seconds of contiguously playable content ahead of the playhead."""
         check_non_negative("position_s", position_s)
-        run = self.contiguous_run_from(position_s)
-        if not run:
+        if position_s != self._at:
+            self._locate(position_s)
+        if self._first is None:
             return 0.0
-        return run[-1].end_s - position_s
+        return self._run_end - position_s
+
+    def run_end_s(self, position_s: float) -> float:
+        """Where the contiguous run from ``position_s`` ends.
+
+        ``position_s`` itself when no buffered segment covers it.
+        """
+        if position_s != self._at:
+            self._locate(position_s)
+        if self._first is None:
+            return position_s
+        return self._run_end
 
     def contiguous_segment_count(self, position_s: float) -> int:
-        return len(self.contiguous_run_from(position_s))
+        if position_s != self._at:
+            self._locate(position_s)
+        return 0 if self._first is None else self._run_count
+
+    def run_length_at(self, index: int) -> int:
+        """How many consecutive indexes from ``index`` are buffered."""
+        if index == self._run_index:
+            return self._run_count
+        segments = self._segments
+        end = index
+        while end in segments:
+            end += 1
+        return end - index
 
     def has_content_at(self, position_s: float) -> bool:
         return self.segment_covering(position_s) is not None
@@ -113,6 +150,63 @@ class PlaybackBuffer:
     def total_bytes(self) -> int:
         return sum(segment.size_bytes for segment in self._segments.values())
 
+    def _locate(self, position_s: float) -> None:
+        """Point the position memo, and the run memo, at ``position_s``."""
+        first = self._covering(position_s)
+        self._at = position_s
+        self._first = first
+        if first is None or first.index == self._run_index:
+            return
+        segments = self._segments
+        index = first.index + 1
+        last = first
+        while index in segments:
+            last = segments[index]
+            index += 1
+        self._run_index = first.index
+        self._run_count = index - first.index
+        self._run_end = last.end_s
+
+    def _covering(self, position_s: float) -> BufferedSegment | None:
+        """The first segment, in insertion order, covering ``position_s``.
+
+        Tries the last hit and its successor before scanning.  All
+        levels of a stream are cut from one segment grid, so only
+        adjacent indexes can share a position (at float noise on their
+        common boundary); a hit is accepted only when neither neighbour
+        also covers it, which makes it the scan's unique answer.
+        """
+        segments = self._segments
+        hit = self._hit
+        for index in (hit, hit + 1):
+            segment = segments.get(index)
+            if segment is None or not (
+                segment.start_s - 1e-9 <= position_s < segment.end_s - 1e-9
+            ):
+                continue
+            before = segments.get(index - 1)
+            after = segments.get(index + 1)
+            if (
+                before is None
+                or not before.start_s - 1e-9 <= position_s < before.end_s - 1e-9
+            ) and (
+                after is None
+                or not after.start_s - 1e-9 <= position_s < after.end_s - 1e-9
+            ):
+                self._hit = index
+                return segment
+            break
+        for segment in segments.values():
+            if segment.start_s - 1e-9 <= position_s < segment.end_s - 1e-9:
+                self._hit = segment.index
+                return segment
+        return None
+
+    def _invalidate(self) -> None:
+        self._at = None
+        self._first = None
+        self._run_index = None
+
     # -- mutation ------------------------------------------------------------
 
     def insert(self, segment: BufferedSegment) -> None:
@@ -123,6 +217,8 @@ class PlaybackBuffer:
             )
         self._segments[segment.index] = segment
         self.total_inserted_bytes += segment.size_bytes
+        self._min_end = min(self._min_end, segment.end_s)
+        self._invalidate()
 
     def replace_single(self, segment: BufferedSegment) -> BufferedSegment:
         """Swap one mid-buffer segment for a fresh download.
@@ -140,6 +236,8 @@ class PlaybackBuffer:
         self._segments[segment.index] = segment
         self.discarded_segments.append(old)
         self.total_inserted_bytes += segment.size_bytes
+        self._min_end = min(self._min_end, segment.end_s)
+        self._invalidate()
         return old
 
     def discard_tail_from(self, index: int) -> list[BufferedSegment]:
@@ -148,16 +246,21 @@ class PlaybackBuffer:
             self._segments.pop(i) for i in sorted(self._segments) if i >= index
         ]
         self.discarded_segments.extend(dropped)
+        self._invalidate()
         return dropped
 
     def clear(self) -> list[BufferedSegment]:
         """Drop everything (seek outside the buffered range)."""
         dropped = [self._segments.pop(i) for i in sorted(self._segments)]
         self.discarded_segments.extend(dropped)
+        self._min_end = math.inf
+        self._invalidate()
         return dropped
 
     def consume_until(self, position_s: float) -> list[BufferedSegment]:
         """Release fully played segments (renderer side of the deque)."""
+        if self._min_end > position_s + 1e-9:
+            return []  # every buffered segment ends later
         finished = [
             segment
             for segment in self._segments.values()
@@ -165,4 +268,10 @@ class PlaybackBuffer:
         ]
         for segment in finished:
             del self._segments[segment.index]
+        self._min_end = min(
+            (segment.end_s for segment in self._segments.values()),
+            default=math.inf,
+        )
+        if finished:
+            self._invalidate()
         return sorted(finished, key=lambda segment: segment.index)

@@ -21,6 +21,7 @@ a real client.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from typing import Optional
@@ -75,6 +76,8 @@ from repro.player.scheduler import (
 from repro.util import DeterministicRng, derive_seed
 
 _EPS = 1e-9
+_VIDEO_STREAM = (StreamType.VIDEO,)
+_AV_STREAMS = (StreamType.VIDEO, StreamType.AUDIO)
 
 
 class PlayerState(enum.Enum):
@@ -188,6 +191,10 @@ class Player:
         self._next_ui_at = 0.0
         self._content_end: float | None = None
         self._ever_started = False
+        # Per-timeline bisect keys for _index_covering, keyed by the
+        # timeline list's identity (a parsed timeline is replaced, never
+        # mutated); the entry holds the list so its id stays unique.
+        self._timeline_ends: dict[int, tuple[list, list[float] | None]] = {}
 
     # -- public inspection --------------------------------------------------
 
@@ -631,17 +638,16 @@ class Player:
 
     # -- playback -------------------------------------------------------------
 
-    def _streams(self) -> list[StreamType]:
+    def _streams(self) -> tuple[StreamType, ...]:
         if self.manifest is not None and self.manifest.has_separate_audio:
-            return [StreamType.VIDEO, StreamType.AUDIO]
-        return [StreamType.VIDEO]
+            return _AV_STREAMS
+        return _VIDEO_STREAM
 
     def _render_limit(self) -> float:
         """How far playback may advance through contiguous content."""
         limit = math.inf
         for stream in self._streams():
-            run = self.buffers[stream].contiguous_run_from(self._play_pos)
-            limit = min(limit, run[-1].end_s if run else self._play_pos)
+            limit = min(limit, self.buffers[stream].run_end_s(self._play_pos))
         if self._content_end is not None:
             limit = min(limit, self._content_end)
         return limit
@@ -1124,10 +1130,24 @@ class Player:
         return None
 
     def _index_covering(self, timeline: list[ClientSegmentInfo], pos: float) -> int:
-        for segment in timeline:
-            if pos < segment.end_s - _EPS:
-                return segment.index
-        return timeline[-1].index
+        """Index of the first timeline segment with ``pos < end_s - _EPS``
+        (the last segment when none qualifies)."""
+        cached = self._timeline_ends.get(id(timeline))
+        if cached is None:
+            ends = [segment.end_s - _EPS for segment in timeline]
+            if any(a > b for a, b in zip(ends, ends[1:])):
+                ends = None  # not sorted: bisect would differ from the scan
+            cached = self._timeline_ends[id(timeline)] = (timeline, ends)
+        ends = cached[1]
+        if ends is None:
+            for segment in timeline:
+                if pos < segment.end_s - _EPS:
+                    return segment.index
+            return timeline[-1].index
+        position = bisect.bisect_right(ends, pos)
+        if position == len(ends):
+            return timeline[-1].index
+        return timeline[position].index
 
     def _next_forward_index(self, stream: StreamType) -> int | None:
         timeline = self._segment_timeline(stream)
@@ -1137,8 +1157,13 @@ class Player:
         pending = self._pending[stream]
         skipped = self._skipped[stream]
         index = self._index_covering(timeline, self._play_pos)
-        while index in buffer or index in pending or index in skipped:
-            index += 1
+        while True:
+            if index in buffer:
+                index += buffer.run_length_at(index)
+            elif index in pending or index in skipped:
+                index += 1
+            else:
+                break
         if index > timeline[-1].index:
             return None
         return index

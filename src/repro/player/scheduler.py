@@ -147,7 +147,8 @@ class Scheduler:
 
     def inflight(self, stream_type: StreamType | None = None) -> int:
         if stream_type is None:
-            return sum(len(jobs) for jobs in self._inflight.values())
+            inflight = self._inflight
+            return len(inflight[StreamType.VIDEO]) + len(inflight[StreamType.AUDIO])
         return len(self._inflight[stream_type])
 
     def inflight_jobs(self, stream_type: StreamType) -> list[FetchJob]:
