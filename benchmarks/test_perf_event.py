@@ -96,21 +96,22 @@ MULTI_DURATION_S = 180.0
 
 
 def _run_multi(engine):
-    from repro.core.fleet import FleetSpec, run_fleet
+    from repro.core.fleet import FleetSession, FleetSpec
     from repro.net.schedule import StepSchedule
 
     schedule = StepSchedule.single_step(8_000_000, 1_500_000, 60.0)
     start = time.perf_counter()
-    results = [
-        list(run_fleet(
+    sessions = []
+    results = []
+    for combo in MULTI_COMBOS:
+        fleet = FleetSession(
             FleetSpec(services=tuple(combo), schedule=schedule,
                       duration_s=MULTI_DURATION_S,
-                      content_duration_s=90.0, engine=engine),
-            keep_results=True,
-        ).results)
-        for combo in MULTI_COMBOS
-    ]
-    return results, time.perf_counter() - start
+                      content_duration_s=90.0, engine=engine)
+        )
+        results.append(fleet.run())
+        sessions.append(fleet.session)
+    return results, sessions, time.perf_counter() - start
 
 
 def _multi_signature(results):
@@ -130,14 +131,21 @@ def _multi_signature(results):
 
 def _multi_section():
     """Shared-link clients under both engines: identity plus speedup."""
-    tick_results, tick_wall = _run_multi("tick")
-    event_results, event_wall = _run_multi("event")
+    tick_results, _, tick_wall = _run_multi("tick")
+    event_results, event_sessions, event_wall = _run_multi("event")
+    dispatch_counts: dict[str, int] = {}
+    for session in event_sessions:
+        for kind, count in session.dispatch_counts.items():
+            dispatch_counts[kind] = dispatch_counts.get(kind, 0) + count
     return {
         "combos": MULTI_COMBOS,
         "duration_s": MULTI_DURATION_S,
         "tick_wall_s": tick_wall,
         "event_wall_s": event_wall,
         "event_speedup_vs_tick": tick_wall / event_wall,
+        "events_dispatched": sum(s.events_dispatched for s in event_sessions),
+        "dispatch_counts": dispatch_counts,
+        "noop_dispatches": dispatch_counts.get("noop", 0),
         "results_identical": (
             _multi_signature(tick_results) == _multi_signature(event_results)
         ),
@@ -250,3 +258,7 @@ def test_perf_event_engine(benchmark, show):
     # loop's ClientResults exactly and win on wall-clock.
     assert results["multi_session"]["results_identical"]
     assert results["multi_session"]["event_speedup_vs_tick"] > 1.0
+    assert (
+        sum(results["multi_session"]["dispatch_counts"].values())
+        == results["multi_session"]["events_dispatched"]
+    )

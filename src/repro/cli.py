@@ -69,6 +69,7 @@ from repro.core.fleet import (
 from repro.core.outcome_cache import resolve_outcome_cache
 from repro.core.parallel import RunSpec
 from repro.core.run import aggregate_metrics, execute, run_one
+from repro.core.session import ENGINES
 from repro.core.supervisor import FailedOutcome, SweepPolicy
 from repro.net.schedule import ConstantSchedule
 from repro.net.traces import cellular_profiles
@@ -227,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_engine_argument(parser, default: str = "tick") -> None:
-    parser.add_argument("--engine", choices=("tick", "event"),
+    parser.add_argument("--engine", choices=ENGINES,
                         default=default,
                         help="simulation core: the per-tick oracle loop "
                              "or the event-driven engine (byte-identical "
@@ -603,8 +604,9 @@ def _cmd_fleet(args) -> int:
                   f"{row.mean_bitrate_mbps:5.2f} Mbps mean, "
                   f"{row.mean_stall_s:5.1f} s stall mean")
     stats = outcome.tick_stats
+    batched = stats.ticks_simulated - stats.ticks_executed
     print(f"ticks        : {stats.ticks_executed} executed, "
-          f"{stats.idle_fast_forwarded_ticks} batched")
+          f"{batched} batched")
     if args.json:
         with open(args.json, "w") as handle:
             json.dump(outcome.to_json(), handle, indent=2)

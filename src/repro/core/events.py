@@ -1,11 +1,14 @@
 """Event-driven simulation core: advance the clock event to event.
 
-The tick engine (:class:`~repro.core.session.Session`) discovers what
-happens next by scanning: every serial tick runs the full network →
-RRC → player pipeline just to find out whether anything changed.  This
-module inverts the control flow: producers *push* their next event into an
-:class:`EventQueue` and :class:`EventDrivenSession` advances the clock
-from event to event, executing a serial tick only at event instants.
+The tick loop (:class:`~repro.core.session.SharedLinkSession`)
+discovers what happens next by scanning: every serial tick runs the
+full network → RRC → player pipeline just to find out whether anything
+changed.  This module inverts the control flow: producers *push* their
+next event into an :class:`EventQueue` and :class:`EventLoopCore`
+advances the clock from event to event, executing the tick body only
+at event instants.  It is the one event loop for one client
+(:class:`EventDrivenSession`) and N on a shared link
+(:class:`~repro.core.multi.EventDrivenMultiSession`).
 
 Byte-identity is non-negotiable (the tick engine stays the oracle), and
 it pins the design:
@@ -21,26 +24,27 @@ it pins the design:
   the oracle's code path, so everything observable (completions, state
   transitions, trace spans, QoE) is produced by the same code in both
   engines.
-* Dispatch classification is post-hoc (it reads cheap deltas after the
-  tick), so it cannot perturb the simulation.
+* Dispatch classification is post-hoc (it compares producer
+  signatures around the tick), so it cannot perturb the simulation.
 
 Each producer owns its deadline (phase 2 of the engine):
 
-* **Player**: one ``PLAYER_WAKE`` per session, the minimum over the
+* **Player**: one ``PLAYER_WAKE`` per player, the minimum over the
   margin contracts (ABR drain thresholds, segment boundaries,
   rebuffer/resume flips, retry backoffs).  The deadline is *absolute*
-  and stays valid until the next dispatched tick — mode and margins can
-  only change when a serial tick runs — so it is recomputed once per
-  dispatch and re-pushed only when it actually moved.  Batch rounds in
-  between re-derive nothing.
+  and stays valid until a dispatched tick moves that player's state —
+  mode and margins can only change when a serial tick runs — so it is
+  recomputed only then and re-pushed only when it actually moved.
+  Batch rounds in between re-derive nothing.
 * **Scheduler**: one advisory ``TRANSFER_COMPLETE`` estimate per
   in-flight job, pushed when the job's transfers start (closed-form
   slow-start horizon under a fair capacity share) and cancelled when
   the job leaves flight.  Estimates never force a dispatch: exact
   completion boundaries come from ``advance_many``'s stop reason, so a
   stale estimate is simply dropped.
-* **Fault plane**: static ``FAULT_CHANGE`` entries for dead-air
-  boundaries and reset times, registered up front.
+* **Fault plane and churn roster**: static ``FAULT_CHANGE`` entries
+  for dead-air boundaries and reset times, ``CLIENT_CHURN`` entries for
+  arrivals and departures, registered up front.
 
 ``Network.advance_many`` reports *why* it stopped (completion /
 schedule change / fault / horizon).  A ``completion`` stop is a
@@ -213,15 +217,217 @@ class EventQueue:
             due.append(self.pop())
 
 
-class EventLoopCore:
-    """Queue plumbing shared by the single- and multi-session loops.
+#: Dispatch labels in priority order: a tick that did several things is
+#: named after the first.  Exogenous causes (the fault plane, churn)
+#: come first; ``noop`` is the residue.
+DISPATCH_KINDS = (
+    "fault_change",
+    "client_churn",
+    "transfer_complete",
+    "fetch_submitted",
+    "state_transition",
+    "segment_boundary",
+    "player_event",
+    "pause_flip",
+    "noop",
+)
+_RANK = {kind: rank for rank, kind in enumerate(DISPATCH_KINDS)}
 
-    Requires the host to provide ``clock``, ``network``, ``queue``,
-    ``max_queue_depth``, ``_limit`` and ``_job_estimates``.  Keeping one
-    implementation of fault registration, estimate management and
-    stale-event skimming is part of the byte-identity argument: both
-    engines batch under exactly the same event semantics.
+
+def _player_signature(player) -> tuple:
+    """The producer state a wake deadline and a dispatch label read."""
+    scheduler = player.scheduler
+    return (
+        player.state,
+        scheduler.completed_parts,
+        scheduler.inflight(),
+        len(player.events.events),
+        player.pause_state(),
+    )
+
+
+def _change_kind(player, before: tuple, after: tuple) -> str:
+    """What moved one player from signature ``before`` to ``after``.
+
+    Completion is counted at the wire level (``completed_parts``), so a
+    split job's intermediate byte-range parts label their ticks too.
     """
+    state, completed, inflight, events, paused = before
+    if after[1] > completed:
+        return "transfer_complete"
+    if after[2] > inflight:
+        return "fetch_submitted"
+    if after[0] is not state:
+        return "state_transition"
+    if after[3] > events:
+        if isinstance(player.events.events[events], SegmentPlayStarted):
+            return "segment_boundary"
+        return "player_event"
+    if after[4] != paused:
+        return "pause_flip"
+    return "noop"
+
+
+class EventLoopCore:
+    """The one event loop, for one client or N on a shared link.
+
+    Mixed in ahead of a :class:`~repro.core.session.SharedLinkSession`
+    subclass, whose tick body it executes at event instants.  Producers
+    own their deadlines in one shared :class:`EventQueue`:
+
+    * every active player keeps one ``PLAYER_WAKE``, its absolute
+      margin-contract deadline.  After a dispatched tick only players
+      whose signature (state / wire completions / in-flight count /
+      emitted events / pause flags) moved recompute it; a popped wake
+      always recomputes, so serial stretches re-vet every tick;
+    * every in-flight job one advisory ``TRANSFER_COMPLETE`` estimate;
+    * the fault plane and the churn roster their static entries.
+
+    Batched windows replay through the proven per-tick primitives
+    (``Network.advance_many`` over the shared link, per-player
+    ``apply_noop_ticks``, per-tick RRC observations).  Each dispatch is
+    labelled post-hoc from the same signatures (:data:`DISPATCH_KINDS`),
+    so the classifier adds no second per-player scan.
+    """
+
+    engine = "event"
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.queue = EventQueue()
+        self.events_dispatched = 0
+        self.dispatch_counts: dict[str, int] = {}
+        self.advance_stop_counts: dict[str, int] = {}
+        self.max_queue_depth = 0
+        self._completion_due = False
+        self._limit = 0.0
+        self._wake_handles: list[Event | None] = [None] * len(self.players)
+        self._wake_sigs: list[tuple | None] = [None] * len(self.players)
+        self._job_estimates: dict[int, Event] = {}
+
+    # -- main loop ---------------------------------------------------------
+
+    def _run_events(self, duration_s: float) -> None:
+        """Advance the clock event to event until ``duration_s`` or
+        every client is done."""
+        profiler = self.obs.profiler
+        t0 = perf_counter() if profiler is not None else 0.0
+        clock = self.clock
+        dt = clock.dt
+        limit = duration_s - 1e-9
+        self._limit = limit
+        self._duration = duration_s
+        self._register_fault_events()
+        self._register_churn_events(duration_s)
+        if self._churn:
+            self._process_churn(clock.now)
+        self._refresh_producers((), True)
+        if clock.now < limit and self._all_done():
+            # Done before the first tick (every churn arrival falls
+            # after the end): the oracle still runs one tick before its
+            # first check, and no queue entry would stop a batch there.
+            self._dispatch_tick(dt)
+            limit = clock.now
+        while clock.now < limit:
+            if self._completion_due:
+                # advance_many promised the next tick completes a
+                # transfer: dispatch it straight away — no queue scan,
+                # no margin recompute, no wasted 0-tick probe.
+                self._completion_due = False
+                if self._dispatch_tick(dt):
+                    break
+                continue
+            now = clock.now
+            next_t = self._next_event_time(now)
+            if next_t <= now + 1e-9:
+                if self._dispatch_tick(dt):
+                    break
+                continue
+            if self._batch_to(min(next_t, limit), limit, dt):
+                break
+        if profiler is not None:
+            profiler.add("event_loop", perf_counter() - t0, 1)
+
+    def _dispatch_tick(self, dt: float) -> bool:
+        """Execute one event instant as the serial tick body and label
+        it; True ends the session.
+
+        Everything around the tick only *reads* state: queue pops
+        happen before it, but fault evaluation inside
+        ``network.advance`` re-derives faults from time, never from the
+        queue.
+        """
+        due = self.queue.pop_due(self.clock.now + 1e-9)
+        self._tick(dt)
+        self.events_dispatched += 1
+        done = self._all_done()
+        # After the final tick nothing is re-armed: the loop breaks.
+        kind = self._refresh_producers(due, not done)
+        counts = self.dispatch_counts
+        counts[kind] = counts.get(kind, 0) + 1
+        return done
+
+    def _batch_to(self, target: float, limit: float, dt: float) -> bool:
+        """Replay the certified no-op window ending at ``target``.
+
+        No per-round margin recompute (wakes are absolute deadlines,
+        valid until the next dispatch) and no per-round fault horizon
+        (fault change points and churn instants are queue entries, so
+        ``target`` already stops short of them).  Returns True when a
+        dispatch taken on a serial fallback path ended the session.
+        """
+        clock = self.clock
+        now = clock.now
+        # The cap includes the final tick: the oracle executes ticks
+        # while now < limit, so the last window may batch straight
+        # through to the end instead of dispatching one (usually no-op)
+        # serial tick per session.
+        remaining = int((limit - now) / dt) + 1
+        ticks = int((target - now - 1e-9) / dt) + 1
+        if ticks > remaining:
+            ticks = remaining
+        if ticks < 1:
+            return self._dispatch_tick(dt)
+        network = self.network
+        players = self._active
+        rrc = self.rrc
+        if network.steady_for_batching():
+            executed, activity, reason = network.advance_many(ticks, dt)
+            counts = self.advance_stop_counts
+            counts[reason] = counts.get(reason, 0) + 1
+            if reason == ADVANCE_COMPLETION:
+                self._completion_due = True
+            if executed <= 0:
+                # A completion or fault is due on this very tick.
+                self._completion_due = False
+                return self._dispatch_tick(dt)
+            for player in players:
+                player.apply_noop_ticks(executed, dt)
+            for radio_active in activity:
+                rrc.observe(radio_active, dt)
+                clock.tick()
+            self.transfer_fast_forwarded_ticks += executed
+            self.transfer_fast_forward_jumps += 1
+            self._emit_jump(now, "transfer", executed, reason)
+            return False
+        if any(player.scheduler.busy for player in players):
+            # Jobs in flight with no live transfer anywhere: no
+            # contract covers this edge, so the tick runs serially.
+            return self._dispatch_tick(dt)
+        # With no transfer on the link it moves no bytes and connection
+        # control is a no-op (state-independent): replay player no-ops,
+        # RRC idle observations and clock ticks, skip network.advance.
+        for player in players:
+            player.apply_noop_ticks(ticks, dt)
+        for _ in range(ticks):
+            rrc.observe(False, dt)
+            clock.tick()
+        self.fast_forwarded_ticks += ticks
+        self.fast_forward_jumps += 1
+        self._emit_jump(now, None, ticks, "player_wake")
+        return False
+
+    # -- producers ---------------------------------------------------------
 
     def _register_fault_events(self) -> None:
         """Static producers: the fault plane's change points, up front.
@@ -245,29 +451,116 @@ class EventLoopCore:
             self.queue.push(at, EventType.FAULT_CHANGE, "reset")
         self.max_queue_depth = len(self.queue)
 
-    def _next_event_time(self, now: float) -> float:
-        """Earliest pending event, dropping stale completion estimates.
+    def _register_churn_events(self, duration_s: float) -> None:
+        """Static queue entries for every churn instant inside the run.
 
-        An estimate that comes due while its job is still in flight
-        under-shot (the closed form assumed a fair share the transfer
-        did not get); it is advisory, so it is popped — never
-        dispatched, which is what keeps estimates out of the ``noop``
-        count — and the exact boundary still arrives as an
-        ``advance_many`` completion stop.
+        Like fault change points: batched windows clamp just before
+        them, so arrivals activate and departures retire on a
+        dispatched (serial) tick — the same tick the oracle's per-tick
+        churn scan would pick.
         """
-        queue = self.queue
-        while True:
-            head = queue.peek()
-            if (
-                head is not None
-                and head.type is EventType.TRANSFER_COMPLETE
-                and head.time <= now + 1e-9
-            ):
-                queue.pop()
-                continue
-            return head.time if head is not None else math.inf
+        if not self._churn:
+            return
+        for index in range(len(self.players)):
+            arrival = self.arrivals[index]
+            if arrival > 1e-9 and arrival < duration_s - 1e-9:
+                self.queue.push(arrival, EventType.CLIENT_CHURN, index)
+                self._note_depth()
+            departure = self.departures[index]
+            if departure is not None and departure < duration_s - 1e-9:
+                self.queue.push(departure, EventType.CLIENT_CHURN, index)
+                self._note_depth()
 
-    def _sync_job_estimates_for(self, jobs) -> None:
+    def _retire(self, index: int, now: float) -> None:
+        super()._retire(index, now)
+        handle = self._wake_handles[index]
+        if handle is not None and not handle.cancelled:
+            self.queue.cancel(handle)
+        self._wake_handles[index] = None
+
+    def _refresh_producers(self, due, arm: bool) -> str:
+        """Label the dispatch in ``due`` and, if ``arm``, re-arm
+        deadlines for players whose own state moved.
+
+        A player's wake deadline is absolute and its margin premises
+        can only change at a dispatched tick that touched *that*
+        player, so the signature check skips the margin walk for every
+        bystander (the common case on a shared link: one client's
+        completion leaves the other N-1 untouched).  Batched windows
+        move no signature, so each player's stored signature is its
+        state before this tick: comparing old and new labels the tick.
+        """
+        best = _RANK["noop"]
+        for event in due:
+            if event.type is EventType.FAULT_CHANGE:
+                best = _RANK["fault_change"]
+                break
+            if event.type is EventType.CLIENT_CHURN:
+                best = _RANK["client_churn"]
+        queue = self.queue
+        churn = self._churn
+        sigs = self._wake_sigs
+        handles = self._wake_handles
+        for index, player in enumerate(self.players):
+            if churn and (not self._arrived[index] or self._retired[index]):
+                continue  # inactive clients own no wake deadline
+            sig = _player_signature(player)
+            old = sigs[index]
+            handle = handles[index]
+            if sig != old:
+                if old is not None and best > _RANK["transfer_complete"]:
+                    rank = _RANK[_change_kind(player, old, sig)]
+                    if rank < best:
+                        best = rank
+                sigs[index] = sig
+            elif handle is not None and not handle.cancelled:
+                continue  # this producer's state did not change
+            if not arm:
+                continue
+            deadline = self._player_deadline(player)
+            if handle is not None and not handle.cancelled:
+                if abs(handle.time - deadline) <= 1e-9:
+                    continue
+                queue.cancel(handle)
+            handles[index] = queue.push(
+                deadline, EventType.PLAYER_WAKE, index
+            )
+            self._note_depth()
+        if arm:
+            self._sync_job_estimates()
+        return DISPATCH_KINDS[best]
+
+    def _player_deadline(self, player) -> float:
+        """This player's absolute wake deadline under its current mode.
+
+        The margin contracts return provable no-op tick counts from
+        *now*; converted to an absolute instant the deadline stays
+        valid across batch rounds because mode and margin premises can
+        only change at a dispatched tick.  A busy scheduler vets via
+        ``transfer_noop_ticks`` (batching guarantees no completion
+        inside the window), otherwise the playing/stalled contracts
+        apply.  A busy scheduler without live wire parts has no
+        contract and wakes next tick.
+        """
+        clock = self.clock
+        now = clock.now
+        dt = clock.dt
+        remaining = int((self._limit - now) / dt) + 1
+        if remaining < 1:
+            remaining = 1
+        scheduler = player.scheduler
+        if scheduler.busy:
+            if any(job.live_transfers() for job in scheduler.jobs()):
+                ticks = player.transfer_noop_ticks(dt, remaining)
+            else:
+                ticks = 0
+        elif player.state is PlayerState.PLAYING:
+            ticks = player.idle_noop_ticks(dt, remaining)
+        else:
+            ticks = player.stalled_noop_ticks(dt, remaining)
+        return now + ticks * dt
+
+    def _sync_job_estimates(self) -> None:
         """Scheduler-owned events: one completion estimate per job.
 
         Pushed once when the job's transfers start, cancelled when the
@@ -278,6 +571,9 @@ class EventLoopCore:
         dispatch queue-predicted; when it under-shoots it is skimmed.
         """
         estimates = self._job_estimates
+        jobs = []
+        for player in self._active:
+            jobs.extend(player.scheduler.jobs())
         if not jobs and not estimates:
             return
         queue = self.queue
@@ -301,6 +597,28 @@ class EventLoopCore:
         if len(estimates) > len(live_keys):
             for key in [k for k in estimates if k not in live_keys]:
                 queue.cancel(estimates.pop(key))
+
+    def _next_event_time(self, now: float) -> float:
+        """Earliest pending event, dropping stale completion estimates.
+
+        An estimate that comes due while its job is still in flight
+        under-shot (the closed form assumed a fair share the transfer
+        did not get); it is advisory, so it is popped — never
+        dispatched, which is what keeps estimates out of the ``noop``
+        count — and the exact boundary still arrives as an
+        ``advance_many`` completion stop.
+        """
+        queue = self.queue
+        while True:
+            head = queue.peek()
+            if (
+                head is not None
+                and head.type is EventType.TRANSFER_COMPLETE
+                and head.time <= now + 1e-9
+            ):
+                queue.pop()
+                continue
+            return head.time if head is not None else math.inf
 
     def _fair_share(self, now: float) -> float:
         """The link capacity at ``now`` split across active transfers.
@@ -345,196 +663,19 @@ class EventLoopCore:
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth
 
-
-class EventDrivenSession(EventLoopCore, Session):
-    """A :class:`Session` that advances the clock event to event.
-
-    Same constructor, same :meth:`_finish`, same result types; only the
-    main loop differs.  It always batches certified no-op windows, and
-    its accounting lands in the session's tick counters (``ticks_executed`` = dispatched event ticks,
-    ``fast_forwarded_ticks`` / ``transfer_fast_forwarded_ticks`` =
-    batched ticks), so :class:`~repro.core.parallel.TickStats` and its
-    ``ticks_simulated`` invariant hold unchanged.
-    """
-
-    engine = "event"
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.queue = EventQueue()
-        self.events_dispatched = 0
-        self.dispatch_counts: dict[str, int] = {}
-        self.advance_stop_counts: dict[str, int] = {}
-        self.max_queue_depth = 0
-        self._wake_handle: Event | None = None
-        self._wake_layer = "stalled"
-        self._job_estimates: dict[int, Event] = {}
-        self._completion_due = False
-        self._limit = 0.0
-
-    # -- main loop ---------------------------------------------------------
-
-    def run(self, duration_s: float) -> SessionResult:
-        profiler = self.obs.profiler
-        t0 = perf_counter() if profiler is not None else 0.0
-        dt = self.clock.dt
-        limit = duration_s - 1e-9
-        self._limit = limit
-        self._register_fault_events()
-        self._reschedule_wake()
-        player = self.player
-        clock = self.clock
-        while clock.now < limit:
-            if player.ended and not player.scheduler.busy:
-                break
-            if self._completion_due:
-                # advance_many promised the next tick completes a
-                # transfer: dispatch it straight away — no queue scan,
-                # no margin recompute, no wasted 0-tick probe.
-                self._completion_due = False
-                self._dispatch_event_tick(dt)
-                self._after_dispatch()
-                continue
-            now = clock.now
-            next_t = self._next_event_time(now)
-            if next_t <= now + 1e-9:
-                self._dispatch_event_tick(dt)
-                self._after_dispatch()
-                continue
-            self._batch_to(min(next_t, limit), limit, dt)
-        if profiler is not None:
-            profiler.add("event_loop", perf_counter() - t0, 1)
-        return self._finish()
-
-    def _batch_to(self, target: float, limit: float, dt: float) -> None:
-        """Replay the certified no-op window ending at ``target``.
-
-        No per-round margin recompute (the player wake is an absolute
-        deadline, valid until the next dispatch) and no per-round fault
-        horizon (fault change points are queue entries, so ``target``
-        already stops short of them).
-        """
-        clock = self.clock
-        now = clock.now
-        # The cap includes the final tick: the oracle executes ticks
-        # while now < limit, so the last window may batch straight
-        # through to the end instead of dispatching one (usually no-op)
-        # serial tick per session.
-        remaining = int((limit - now) / dt) + 1
-        ticks = int((target - now - 1e-9) / dt) + 1
-        if ticks > remaining:
-            ticks = remaining
-        if ticks < 1:
-            self._dispatch_event_tick(dt)
-            self._after_dispatch()
-            return
-        network = self.network
-        player = self.player
-        if network.steady_for_batching():
-            executed, activity, reason = network.advance_many(ticks, dt)
-            counts = self.advance_stop_counts
-            counts[reason] = counts.get(reason, 0) + 1
-            if reason == ADVANCE_COMPLETION:
-                self._completion_due = True
-            if executed <= 0:
-                # A completion or fault is due on this very tick.
-                self._completion_due = False
-                self._dispatch_event_tick(dt)
-                self._after_dispatch()
-                return
-            player.apply_noop_ticks(executed, dt)
-            rrc = self.rrc
-            for radio_active in activity:
-                rrc.observe(radio_active, dt)
-                clock.tick()
-            self.transfer_fast_forwarded_ticks += executed
-            self.transfer_fast_forward_jumps += 1
-            self._emit_jump(now, "transfer", executed, reason)
-            return
-        if player.scheduler.busy:
-            # Jobs in flight with no live transfer: no contract covers
-            # this edge, so the tick runs serially.
-            self._dispatch_event_tick(dt)
-            self._after_dispatch()
-            return
-        # With no transfer anywhere the link moves no bytes and
-        # connection control is a no-op (state-independent): replay player no-ops, RRC idle
-        # observations and clock ticks, skip network.advance entirely.
-        player.apply_noop_ticks(ticks, dt)
-        rrc = self.rrc
-        for _ in range(ticks):
-            rrc.observe(False, dt)
-            clock.tick()
-        self.fast_forwarded_ticks += ticks
-        self.fast_forward_jumps += 1
-        self._emit_jump(now, self._wake_layer, ticks, "player_wake")
-
-    # -- producers ---------------------------------------------------------
-
-    def _after_dispatch(self) -> None:
-        """Refresh producer-owned deadlines after a serial tick.
-
-        Only a dispatched tick can change the player's mode or margins
-        or start/finish jobs, so this is the single point where
-        producers reconsider — batch rounds re-derive nothing.
-        """
-        player = self.player
-        if player.ended and not player.scheduler.busy:
-            return  # the loop is about to break
-        self._reschedule_wake()
-        self._sync_job_estimates()
-
-    def _reschedule_wake(self) -> None:
-        """Recompute the player's absolute deadline; re-push iff moved.
-
-        The margin contracts return provable no-op tick counts from
-        *now*; converted to an absolute instant the deadline stays
-        valid across batch rounds because mode (transfer/idle/stalled)
-        and margin premises can only change at a dispatched tick.  When
-        the recomputed deadline equals the live wake's, the old entry
-        is kept — that is what drops queue pushes below one per
-        dispatch on completion-heavy runs.
-        """
-        player = self.player
-        clock = self.clock
-        now = clock.now
-        dt = clock.dt
-        remaining = int((self._limit - now) / dt) + 1
-        if remaining < 1:
-            remaining = 1
-        if self.network.steady_for_batching():
-            ticks = player.transfer_noop_ticks(dt, remaining)
-            self._wake_layer = "transfer"
-        elif player.scheduler.busy:
-            ticks = 0  # no contract for busy-without-transfer: serial
-            self._wake_layer = "serial"
-        elif player.state is PlayerState.PLAYING:
-            ticks = player.idle_noop_ticks(dt, remaining)
-            self._wake_layer = "idle"
-        else:
-            ticks = player.stalled_noop_ticks(dt, remaining)
-            self._wake_layer = "stalled"
-        deadline = now + ticks * dt
-        handle = self._wake_handle
-        if (
-            handle is not None
-            and not handle.cancelled
-            and abs(handle.time - deadline) <= 1e-9
-        ):
-            return  # the player's own state did not move its deadline
-        if handle is not None:
-            self.queue.cancel(handle)
-        self._wake_handle = self.queue.push(deadline, EventType.PLAYER_WAKE)
-        self._note_depth()
-
-    def _sync_job_estimates(self) -> None:
-        self._sync_job_estimates_for(self.player.scheduler.jobs())
+    # -- observability -----------------------------------------------------
 
     def _emit_jump(
-        self, start: float, layer: str, ticks: int, bound: str
+        self, start: float, layer: str | None, ticks: int, bound: str
     ) -> None:
         tracer = self.obs.tracer
         if tracer.enabled:
+            if layer is None:
+                playing = all(
+                    player.state is PlayerState.PLAYING
+                    for player in self._active
+                )
+                layer = "idle" if playing else "stalled"
             tracer.emit(
                 EventJump(
                     at=start,
@@ -545,83 +686,23 @@ class EventDrivenSession(EventLoopCore, Session):
                 )
             )
 
-    # -- event dispatch ----------------------------------------------------
 
-    def _dispatch_event_tick(self, dt: float) -> None:
-        """Execute one event instant as a full serial tick and label it.
+class EventDrivenSession(EventLoopCore, Session):
+    """The one-client :class:`~repro.core.session.Session` on the event
+    loop.
 
-        The tick body is byte-for-byte the oracle loop's; everything
-        around it only *reads* state (queue pops happen before the tick
-        but fault evaluation inside ``network.advance`` re-derives
-        faults from time, never from the queue).
-        """
-        player = self.player
-        scheduler = player.scheduler
-        tick_start = self.clock.now
-        due = self.queue.pop_due(tick_start + 1e-9)
-        before_completed = scheduler.completed_parts
-        before_inflight = scheduler.inflight()
-        before_events = len(player.events.events)
-        before_state = player.state
-        before_paused = player.pause_state()
-        before_bytes = self.network.link.total_bytes_delivered
-        self.network.advance(dt)
-        radio_active = self.network.link.total_bytes_delivered > before_bytes
-        self.rrc.observe(radio_active, dt)
-        player.advance(dt)
-        self.clock.tick()
-        self.ticks_executed += 1
-        self.events_dispatched += 1
-        kind = self._classify_dispatch(
-            due,
-            before_completed,
-            before_inflight,
-            before_events,
-            before_state,
-            before_paused,
-        )
-        self.dispatch_counts[kind] = self.dispatch_counts.get(kind, 0) + 1
+    Same constructor, same :meth:`_finish`, same result types; the loop
+    is :class:`EventLoopCore`'s.  Its accounting lands in the session's
+    tick counters (``ticks_executed`` = dispatched event ticks,
+    ``fast_forwarded_ticks`` / ``transfer_fast_forwarded_ticks`` =
+    ticks batched in idle / transfer windows), so
+    :class:`~repro.core.parallel.TickStats` and its ``ticks_simulated``
+    invariant hold unchanged.
+    """
 
-    def _classify_dispatch(
-        self,
-        due: list[Event],
-        before_completed: int,
-        before_inflight: int,
-        before_events: int,
-        before_state: PlayerState,
-        before_paused: tuple[bool, bool],
-    ) -> str:
-        """Name what the dispatched tick actually did (post-hoc).
-
-        Priority order matters only for the label (a reset both fires a
-        fault and completes jobs as failures; the fault is the cause).
-        Completion is counted at the wire level (``completed_parts``),
-        so a split job's intermediate byte-range parts label their
-        ticks too.  ``noop`` is the honest residue — ticks the engine
-        executed without a state change to show for them (conservative
-        margins); BENCH_event.json tracks them as the engine's blind
-        steps.
-        """
-        player = self.player
-        scheduler = player.scheduler
-        if any(event.type is EventType.FAULT_CHANGE for event in due):
-            return "fault_change"
-        if scheduler.completed_parts > before_completed:
-            return "transfer_complete"
-        if scheduler.inflight() > before_inflight:
-            return "fetch_submitted"
-        if player.state is not before_state:
-            return "state_transition"
-        events = player.events.events
-        if len(events) > before_events:
-            if isinstance(events[before_events], SegmentPlayStarted):
-                return "segment_boundary"
-            return "player_event"
-        if player.pause_state() != before_paused:
-            return "pause_flip"
-        return "noop"
-
-    # -- observability -----------------------------------------------------
+    def run(self, duration_s: float) -> SessionResult:
+        self._run_events(duration_s)
+        return self._finish()
 
     def _record_metrics(self) -> None:
         """Per-event-type dispatch counts and queue stats, on top of the
@@ -647,12 +728,11 @@ class EventDrivenSession(EventLoopCore, Session):
             )
 
 
-# Re-exported for the multi-session event loop (core.multi imports the
-# queue machinery from here; keeping one queue implementation is part
-# of the byte-identity argument).
+# Re-exported for the multi-session event loop.
 __all__ = [
     "ADVANCE_COMPLETION",
     "ADVANCE_FAULT",
+    "DISPATCH_KINDS",
     "Event",
     "EventDrivenSession",
     "EventLoopCore",

@@ -39,13 +39,13 @@ from typing import Hashable, Optional, Union
 
 from repro.analysis.faults import FaultSpec
 from repro.core.multi import (
-    MULTI_ENGINES,
     ClientRecord,
     ClientResult,
     EventDrivenMultiSession,
     MultiSession,
 )
 from repro.core.parallel import TickStats
+from repro.core.session import ENGINES
 from repro.net.schedule import BandwidthSchedule
 from repro.net.traces import TRACE_SEED, generate_trace
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
@@ -179,10 +179,9 @@ class FleetSpec:
             raise ValueError(f"clients must be >= 1, got {self.clients}")
         if not self.devices:
             raise ValueError("a fleet needs at least one device class")
-        if self.engine not in MULTI_ENGINES:
+        if self.engine not in ENGINES:
             raise ValueError(
-                f"unknown engine {self.engine!r}; "
-                f"expected one of {MULTI_ENGINES}"
+                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
         for weights, pool, label in (
             (self.service_weights, self.services, "service_weights"),
@@ -550,14 +549,7 @@ class FleetSession:
 
     @property
     def tick_stats(self) -> TickStats:
-        session = self.session
-        return TickStats(
-            ticks_executed=session.ticks_executed,
-            idle_fast_forwarded_ticks=session.fast_forwarded_ticks,
-            idle_fast_forward_jumps=session.fast_forward_jumps,
-            transfer_fast_forwarded_ticks=0,
-            transfer_fast_forward_jumps=0,
-        )
+        return TickStats.from_session(self.session)
 
 
 def _populate_registry(

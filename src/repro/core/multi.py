@@ -7,40 +7,25 @@ players (possibly different services) against one shaped link, with a
 single proxy capturing all flows, and attributes downloads back to
 each player by URL namespace.
 
-Two engines share the byte-identity contract the single-session runner
-established: the lock-step tick loop (:class:`MultiSession`, the
-oracle) and :class:`EventDrivenMultiSession`, which steps the shared
-clock event to event over one :class:`~repro.core.events.EventQueue`
-holding every client's producer deadlines — per-player wakes, per-job
-completion estimates and the fault plane's static change points.
+Both engines are the single-session ones: :class:`MultiSession` runs
+the tick loop of :class:`~repro.core.session.SharedLinkSession` (the
+oracle) and :class:`EventDrivenMultiSession` the event loop of
+:class:`~repro.core.events.EventLoopCore`; a one-client
+:class:`~repro.core.session.Session` is the same code with one player.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.analysis.faults import FaultInjectingHandler, FaultSpec
-from repro.analysis.proxy import Proxy
 from repro.analysis.qoe import QoeReport, compute_qoe
 from repro.analysis.traffic import TrafficAnalyzer
 from repro.analysis.ui import UiMonitor
-from repro.core.events import (
-    ADVANCE_COMPLETION,
-    Event,
-    EventLoopCore,
-    EventQueue,
-    EventType,
-)
-from repro.net.clock import Clock
-from repro.net.network import Network
-from repro.net.schedule import BandwidthSchedule
+from repro.core.events import EventLoopCore
+from repro.core.session import SharedLinkSession
 from repro.player.events import SessionEnded
-from repro.player.player import Player, PlayerState
-from repro.server.origin import OriginServer
-from repro.services.profiles import BuiltService
-
-MULTI_ENGINES = ("tick", "event")
+from repro.player.player import Player
 
 
 @dataclass(frozen=True)
@@ -100,160 +85,12 @@ class ClientResult:
         return self.record.qoe
 
 
-class MultiSession:
+class MultiSession(SharedLinkSession):
     """N players, one link, one clock, one flow capture."""
 
-    engine = "tick"
-
-    def __init__(
-        self,
-        builts: Sequence[BuiltService],
-        server: OriginServer,
-        schedule: BandwidthSchedule,
-        *,
-        dt: float = 0.1,
-        rtt_s: float = 0.05,
-        faults: Optional[FaultSpec] = None,
-        arrivals: Optional[Sequence[float]] = None,
-        departures: Optional[Sequence[Optional[float]]] = None,
-    ):
-        if not builts:
-            raise ValueError("need at least one client")
-        self.builts = list(builts)
-        # Tick accounting; the batched counters are the event engine's.
-        self.ticks_executed = 0
-        self.fast_forwarded_ticks = 0
-        self.fast_forward_jumps = 0
-        self.clock = Clock(dt=dt)
-        self.faults = faults
-        # Same layering as Session: origin faults sit between proxy and
-        # origin (the proxy records what actually crossed the wire),
-        # the transport plane rides inside the shared network.
-        self.fault_injector: Optional[FaultInjectingHandler] = None
-        origin_handler = server
-        if faults is not None and faults.has_origin_faults:
-            self.fault_injector = FaultInjectingHandler(server, self.clock, faults)
-            origin_handler = self.fault_injector
-        self.proxy = Proxy(origin_handler)
-        self.network = Network(
-            self.clock,
-            self.proxy,
-            schedule,
-            rtt_s=rtt_s,
-            faults=faults.transport_plane() if faults is not None else None,
-        )
-        self.network.observers.append(self.proxy)
-        self.players = [
-            Player(self.clock, self.network, built.player_config,
-                   built.manifest_url, cipher=built.cipher)
-            for built in self.builts
-        ]
-        # -- churn roster (the fleet layer's arrivals/departures) ------
-        count = len(self.players)
-        self.arrivals = (
-            list(arrivals) if arrivals is not None else [0.0] * count
-        )
-        self.departures = (
-            list(departures) if departures is not None else [None] * count
-        )
-        if len(self.arrivals) != count or len(self.departures) != count:
-            raise ValueError(
-                "arrivals/departures must align with the client list"
-            )
-        for index in range(count):
-            if self.arrivals[index] < 0:
-                raise ValueError(f"client {index}: arrival must be >= 0")
-            departure = self.departures[index]
-            if departure is not None and departure <= self.arrivals[index]:
-                raise ValueError(
-                    f"client {index}: departure must follow arrival"
-                )
-        self._churn = any(a > 1e-9 for a in self.arrivals) or any(
-            d is not None for d in self.departures
-        )
-        self._arrived = [a <= 1e-9 for a in self.arrivals]
-        self._retired = [False] * count
-        self._active = [
-            player
-            for index, player in enumerate(self.players)
-            if self._arrived[index]
-        ]
-        self._duration = 0.0
-
     def run(self, duration_s: float) -> list[ClientResult]:
-        dt = self.clock.dt
-        self._duration = duration_s
-        while self.clock.now < duration_s - 1e-9:
-            if self._churn:
-                self._process_churn(self.clock.now)
-            self.network.advance(dt)
-            for player in self._active:
-                player.advance(dt)
-            self.clock.tick()
-            self.ticks_executed += 1
-            if self._all_done():
-                break
+        self._run_ticks(duration_s)
         return self._collect_results()
-
-    # -- churn -------------------------------------------------------------
-
-    def _process_churn(self, now: float) -> None:
-        """Activate due arrivals and retire due departures at ``now``.
-
-        Runs at the top of every (dispatched) tick in both engines, so
-        a client's first advance and its retirement land on exactly the
-        same tick either way — the byte-identity contract extended to
-        churn.
-        """
-        changed = False
-        for index in range(len(self.players)):
-            if not self._arrived[index]:
-                if self.arrivals[index] <= now + 1e-9:
-                    self._arrived[index] = True
-                    changed = True
-                continue
-            if self._retired[index]:
-                continue
-            departure = self.departures[index]
-            if departure is not None and now >= departure - 1e-9:
-                self._retire(index, now)
-                changed = True
-        if changed:
-            self._active = [
-                player
-                for index, player in enumerate(self.players)
-                if self._arrived[index] and not self._retired[index]
-            ]
-
-    def _retire(self, index: int, now: float) -> None:
-        """Tear down a departing client's flows without completions.
-
-        ``TcpConnection.abort`` marks any in-flight transfer aborted
-        *without* firing its completion callback (no re-entrant retry
-        scheduling on a player that will never advance again), then the
-        connections leave the shared link so the remaining clients stop
-        sharing capacity with a ghost.
-        """
-        player = self.players[index]
-        for connection in player.scheduler.connections():
-            connection.abort(now)
-            if connection in self.network.connections:
-                self.network.drop_connection(connection)
-        self._retired[index] = True
-
-    def _all_done(self) -> bool:
-        if not self._churn:
-            return all(player.ended for player in self.players)
-        for index, player in enumerate(self.players):
-            if self._retired[index]:
-                continue
-            if not self._arrived[index]:
-                if self.arrivals[index] < self._duration - 1e-9:
-                    return False  # still due to arrive
-                continue  # never arrives within this run
-            if not player.ended:
-                return False
-        return True
 
     # -- results -----------------------------------------------------------
 
@@ -306,228 +143,13 @@ class MultiSession:
 class EventDrivenMultiSession(EventLoopCore, MultiSession):
     """A :class:`MultiSession` stepping event to event on one queue.
 
-    Per-client producer ownership scales the single-session design to N
-    players on a shared link: every player keeps one ``PLAYER_WAKE``
-    (its margin-contract deadline, absolute), every in-flight job one
-    advisory completion estimate, the fault plane its static entries —
-    all in one shared :class:`EventQueue`.  After a dispatched tick
-    only players whose observable state moved (a cheap signature over
-    state / wire completions / in-flight count / emitted events / pause
-    flags) recompute their deadline; everyone else's wake stays put.
-    That is what replaces the lock-step loop's per-tick, per-player
-    scan, while batched windows replay through the identical primitives
-    (``Network.advance_many`` over the shared link, per-player
-    ``apply_noop_ticks``), keeping ``ClientResult``s byte-identical.
+    Every client's producer deadlines — per-player wakes, per-job
+    completion estimates, the fault plane's and the churn roster's
+    static entries — share one :class:`~repro.core.events.EventQueue`;
+    batched windows replay through the identical primitives, keeping
+    ``ClientResult``s byte-identical to the tick loop's.
     """
 
-    engine = "event"
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.queue = EventQueue()
-        self.events_dispatched = 0
-        self.max_queue_depth = 0
-        self._completion_due = False
-        self._limit = 0.0
-        self._wake_handles: list[Event | None] = [None] * len(self.players)
-        self._wake_sigs: list[object] = [None] * len(self.players)
-        self._job_estimates: dict[int, Event] = {}
-
     def run(self, duration_s: float) -> list[ClientResult]:
-        dt = self.clock.dt
-        limit = duration_s - 1e-9
-        self._limit = limit
-        self._duration = duration_s
-        self._register_fault_events()
-        self._register_churn_events(duration_s)
-        if self._churn:
-            self._process_churn(self.clock.now)
-        self._refresh_producers()
-        clock = self.clock
-        while clock.now < limit:
-            if self._completion_due:
-                # advance_many promised the next tick completes a
-                # transfer: dispatch it without re-probing anything.
-                self._completion_due = False
-                if self._dispatch_tick(dt):
-                    break
-                continue
-            now = clock.now
-            next_t = self._next_event_time(now)
-            if next_t <= now + 1e-9:
-                if self._dispatch_tick(dt):
-                    break
-                continue
-            if self._batch_to(min(next_t, limit), limit, dt):
-                break
+        self._run_events(duration_s)
         return self._collect_results()
-
-    # -- serial event instants --------------------------------------------
-
-    def _register_churn_events(self, duration_s: float) -> None:
-        """Static queue entries for every churn instant inside the run.
-
-        Like fault change points: batched windows clamp just before
-        them, so arrivals activate and departures retire on a
-        dispatched (serial) tick — the same tick the oracle's per-tick
-        churn scan would pick.
-        """
-        if not self._churn:
-            return
-        for index in range(len(self.players)):
-            arrival = self.arrivals[index]
-            if arrival > 1e-9 and arrival < duration_s - 1e-9:
-                self.queue.push(arrival, EventType.CLIENT_CHURN, index)
-                self._note_depth()
-            departure = self.departures[index]
-            if departure is not None and departure < duration_s - 1e-9:
-                self.queue.push(departure, EventType.CLIENT_CHURN, index)
-                self._note_depth()
-
-    def _retire(self, index: int, now: float) -> None:
-        super()._retire(index, now)
-        handle = self._wake_handles[index]
-        if handle is not None and not handle.cancelled:
-            self.queue.cancel(handle)
-        self._wake_handles[index] = None
-
-    def _dispatch_tick(self, dt: float) -> bool:
-        """One oracle tick at an event instant; True ends the session."""
-        self.queue.pop_due(self.clock.now + 1e-9)
-        if self._churn:
-            self._process_churn(self.clock.now)
-        self.network.advance(dt)
-        for player in self._active:
-            player.advance(dt)
-        self.clock.tick()
-        self.ticks_executed += 1
-        self.events_dispatched += 1
-        if self._all_done():
-            return True  # mirror the oracle's post-tick break
-        self._refresh_producers()
-        return False
-
-    def _refresh_producers(self) -> None:
-        """Re-arm deadlines for players whose own state moved.
-
-        A player's wake deadline is absolute and its margin premises
-        can only change at a dispatched tick that touched *that*
-        player, so the signature check skips the margin walk for every
-        bystander (the common case on a shared link: one client's
-        completion leaves the other N-1 untouched).  A popped or due
-        wake always recomputes — serial stretches re-vet every tick,
-        exactly like the single-session engine.
-        """
-        queue = self.queue
-        for index, player in enumerate(self.players):
-            if self._churn and (
-                not self._arrived[index] or self._retired[index]
-            ):
-                continue  # inactive clients own no wake deadline
-            scheduler = player.scheduler
-            sig = (
-                player.state,
-                scheduler.completed_parts,
-                scheduler.inflight(),
-                len(player.events.events),
-                player.pause_state(),
-            )
-            handle = self._wake_handles[index]
-            if (
-                handle is not None
-                and not handle.cancelled
-                and sig == self._wake_sigs[index]
-            ):
-                continue  # this producer's state did not change
-            self._wake_sigs[index] = sig
-            deadline = self._player_deadline(player)
-            if handle is not None and not handle.cancelled:
-                if abs(handle.time - deadline) <= 1e-9:
-                    continue
-                queue.cancel(handle)
-            self._wake_handles[index] = queue.push(
-                deadline, EventType.PLAYER_WAKE, index
-            )
-            self._note_depth()
-        self._sync_job_estimates()
-
-    def _sync_job_estimates(self) -> None:
-        jobs = []
-        for player in self._active:
-            jobs.extend(player.scheduler.jobs())
-        self._sync_job_estimates_for(jobs)
-
-    def _player_deadline(self, player: Player) -> float:
-        """This player's absolute wake deadline under its current mode.
-
-        Mode mirrors the single-session engine per player: a busy
-        scheduler vets via ``transfer_noop_ticks`` (global batching
-        guarantees no completion inside the window), otherwise the
-        playing/stalled contracts apply.  A busy scheduler without live
-        wire parts has no contract and wakes next tick.
-        """
-        clock = self.clock
-        now = clock.now
-        dt = clock.dt
-        remaining = int((self._limit - now) / dt) + 1
-        if remaining < 1:
-            remaining = 1
-        if player.scheduler.busy:
-            if any(job.live_transfers() for job in player.scheduler.jobs()):
-                ticks = player.transfer_noop_ticks(dt, remaining)
-            else:
-                ticks = 0
-        elif player.state is PlayerState.PLAYING:
-            ticks = player.idle_noop_ticks(dt, remaining)
-        else:
-            ticks = player.stalled_noop_ticks(dt, remaining)
-        return now + ticks * dt
-
-    # -- batched windows ---------------------------------------------------
-
-    def _batch_to(self, target: float, limit: float, dt: float) -> bool:
-        """Replay the certified no-op window ending at ``target``.
-
-        Same window math as the single-session engine; every player
-        replays its own no-op ticks against the shared clock.  Returns
-        True when a dispatch taken on the serial fallback path ended
-        the session.
-        """
-        clock = self.clock
-        now = clock.now
-        remaining = int((limit - now) / dt) + 1
-        ticks = int((target - now - 1e-9) / dt) + 1
-        if ticks > remaining:
-            ticks = remaining
-        players = self._active
-        if ticks < 1:
-            return self._dispatch_tick(dt)
-        if self.network.steady_for_batching():
-            executed, activity, reason = self.network.advance_many(ticks, dt)
-            if reason == ADVANCE_COMPLETION:
-                self._completion_due = True
-            if executed <= 0:
-                # A completion or fault is due on this very tick.
-                self._completion_due = False
-                return self._dispatch_tick(dt)
-            for player in players:
-                player.apply_noop_ticks(executed, dt)
-            for _ in range(executed):
-                clock.tick()
-            self.fast_forwarded_ticks += executed
-            self.fast_forward_jumps += 1
-            return False
-        if any(player.scheduler.busy for player in players):
-            # Jobs in flight with no live transfer anywhere: no
-            # contract covers this edge, so the tick runs serially.
-            return self._dispatch_tick(dt)
-        # No transfer on the shared link: the network is a no-op, every
-        # player replays playhead/UI only (the idle-jump argument).
-        for player in players:
-            player.apply_noop_ticks(ticks, dt)
-        for _ in range(ticks):
-            clock.tick()
-        self.fast_forwarded_ticks += ticks
-        self.fast_forward_jumps += 1
-        return False
-

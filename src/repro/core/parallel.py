@@ -36,7 +36,13 @@ from repro.analysis.faults import FaultSpec
 from repro.analysis.proxy import ManifestRewriter
 from repro.analysis.qoe import QoeReport
 from repro.core.events import EventDrivenSession
-from repro.core.session import ResultFieldMissing, Session, SessionResult
+from repro.core.session import (
+    ENGINES,
+    ResultFieldMissing,
+    Session,
+    SessionResult,
+    SharedLinkSession,
+)
 from repro.net.rrc import RrcState
 from repro.net.schedule import BandwidthSchedule
 from repro.net.traces import TRACE_SEED, CellularTrace, generate_trace
@@ -103,6 +109,12 @@ class RunSpec:
     # participates in the outcome-cache key.
     engine: str = "tick"
 
+    def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
+            )
+
     @property
     def service_name(self) -> str:
         return self.service if isinstance(self.service, str) else self.service.name
@@ -163,14 +175,7 @@ class RunSpec:
             content_seed=self.resolved_content_seed,
             player_config=player_config,
         )
-        if self.engine == "tick":
-            session_cls = Session
-        elif self.engine == "event":
-            session_cls = EventDrivenSession
-        else:
-            raise ValueError(
-                f"unknown engine {self.engine!r} (expected 'tick' or 'event')"
-            )
+        session_cls = EventDrivenSession if self.engine == "event" else Session
         return session_cls(
             built,
             server,
@@ -306,7 +311,7 @@ class TickStats:
         )
 
     @staticmethod
-    def from_session(session: Session) -> "TickStats":
+    def from_session(session: SharedLinkSession) -> "TickStats":
         return TickStats(
             ticks_executed=session.ticks_executed,
             idle_fast_forwarded_ticks=session.fast_forwarded_ticks,

@@ -1,18 +1,19 @@
 """A streaming session: server + proxy + network + player + methodology.
 
-:class:`Session` wires together everything the paper's testbed had —
-origin, man-in-the-middle proxy, `tc`-shaped network, device running
-the app, Xposed UI hook, and an LTE radio — runs the session tick by
-tick, and returns a :class:`SessionResult` carrying both the
-methodology's view (flows → analyzer → QoE) and the ground truth
-(player events) that validates it.
+:class:`SharedLinkSession` wires together everything the paper's
+testbed had — origin, man-in-the-middle proxy, `tc`-shaped network,
+devices running the app, Xposed UI hook, and an LTE radio — and holds
+the one tick body every engine executes.  :class:`Session` is its
+one-client case: it runs the session tick by tick and returns a
+:class:`SessionResult` carrying both the methodology's view (flows →
+analyzer → QoE) and the ground truth (player events) that validates it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.analysis.bufferinfer import BufferEstimator
 from repro.analysis.faults import FaultInjectingHandler, FaultSpec
@@ -30,6 +31,11 @@ from repro.player.events import EventLog
 from repro.player.player import Player, PlayerState
 from repro.server.origin import OriginServer
 from repro.services.profiles import BuiltService
+
+#: The simulation engines: ``"tick"`` is the plain per-tick loop (the
+#: oracle), ``"event"`` the event-driven loop pinned byte-identical to
+#: it.  Specs validate against this at construction.
+ENGINES = ("tick", "event")
 
 
 class ResultFieldMissing(RuntimeError):
@@ -108,27 +114,43 @@ class SessionResult:
         return self.true_startup_delay_s is not None
 
 
-class Session:
-    """One configured run of one service over one bandwidth schedule."""
+class SharedLinkSession:
+    """Players on one shaped link, one clock, one flow capture.
+
+    The wiring every engine shares — origin (behind the fault injector
+    when the spec has origin faults), man-in-the-middle proxy,
+    ``tc``-shaped network, LTE radio and one player per built service —
+    plus client churn and the one tick body.  :class:`Session` is the
+    one-client case; :class:`~repro.core.multi.MultiSession` adds
+    per-client results; the event engines
+    (:class:`~repro.core.events.EventLoopCore`) execute the same tick
+    body at event instants.
+
+    ``arrivals``/``departures`` are the fleet layer's churn roster
+    (default: everyone from tick zero, nobody leaves).
+    """
+
+    engine = "tick"
 
     def __init__(
         self,
-        built: BuiltService,
+        builts: Sequence[BuiltService],
         server: OriginServer,
         schedule: BandwidthSchedule,
         *,
         dt: float = 0.1,
         rtt_s: float = 0.05,
-        manifest_rewriter: Optional[ManifestRewriter] = None,
-        reject_after_segments: Optional[int] = None,
-        player_config: Optional[PlayerConfig] = None,
         faults: Optional[FaultSpec] = None,
+        arrivals: Optional[Sequence[float]] = None,
+        departures: Optional[Sequence[Optional[float]]] = None,
         obs: Optional[Observability] = None,
     ):
-        self.built = built
+        if not builts:
+            raise ValueError("need at least one client")
+        self.builts = list(builts)
         self.obs = obs if obs is not None else Observability()
         # Tick accounting: the plain loop only executes ticks; the
-        # batched counters are filled by the event engine's jumps.
+        # batched counters are filled by the event engine's windows.
         self.ticks_executed = 0
         self.fast_forwarded_ticks = 0
         self.fast_forward_jumps = 0
@@ -154,6 +176,218 @@ class Session:
         )
         self.network.observers.append(self.proxy)
         self.rrc = RrcMachine()
+        self.players = [
+            Player(
+                self.clock,
+                self.network,
+                built.player_config,
+                built.manifest_url,
+                cipher=built.cipher,
+                tracer=self.obs.tracer,
+            )
+            for built in self.builts
+        ]
+        # -- churn roster (the fleet layer's arrivals/departures) ------
+        count = len(self.players)
+        self.arrivals = (
+            list(arrivals) if arrivals is not None else [0.0] * count
+        )
+        self.departures = (
+            list(departures) if departures is not None else [None] * count
+        )
+        if len(self.arrivals) != count or len(self.departures) != count:
+            raise ValueError(
+                "arrivals/departures must align with the client list"
+            )
+        for index in range(count):
+            if self.arrivals[index] < 0:
+                raise ValueError(f"client {index}: arrival must be >= 0")
+            departure = self.departures[index]
+            if departure is not None and departure <= self.arrivals[index]:
+                raise ValueError(
+                    f"client {index}: departure must follow arrival"
+                )
+        self._churn = any(a > 1e-9 for a in self.arrivals) or any(
+            d is not None for d in self.departures
+        )
+        self._arrived = [a <= 1e-9 for a in self.arrivals]
+        self._retired = [False] * count
+        self._active = [
+            player
+            for index, player in enumerate(self.players)
+            if self._arrived[index]
+        ]
+        self._duration = 0.0
+
+    # -- the tick body -----------------------------------------------------
+
+    def _tick(self, dt: float) -> None:
+        """One serial tick: churn, network, RRC, players, clock.
+
+        The only tick body: the tick loop runs it every tick and the
+        event engines run it at every event instant.
+        """
+        if self._churn:
+            self._process_churn(self.clock.now)
+        network = self.network
+        link = network.link
+        before = link.total_bytes_delivered
+        network.advance(dt)
+        self.rrc.observe(link.total_bytes_delivered > before, dt)
+        for player in self._active:
+            player.advance(dt)
+        self.clock.tick()
+        self.ticks_executed += 1
+
+    def _run_ticks(self, duration_s: float) -> None:
+        """Tick the world until ``duration_s`` or every client is done."""
+        self._duration = duration_s
+        dt = self.clock.dt
+        limit = duration_s - 1e-9
+        clock = self.clock
+        while clock.now < limit:
+            self._tick(dt)
+            if self._all_done():
+                break
+
+    def _run_ticks_profiled(self, duration_s: float) -> None:
+        """:meth:`_run_ticks` with per-phase wall-time accounting.
+
+        The same tick body with timers around its layers; a separate
+        method so the default loop pays nothing when profiling is off.
+        Phase times accumulate in local floats and reach the profiler
+        once at the end.
+        """
+        profiler = self.obs.profiler
+        assert profiler is not None
+        self._duration = duration_s
+        dt = self.clock.dt
+        limit = duration_s - 1e-9
+        clock = self.clock
+        network = self.network
+        link = network.link
+        network_s = player_s = rrc_s = 0.0
+        ticks = 0
+        while clock.now < limit:
+            if self._churn:
+                self._process_churn(clock.now)
+            t0 = perf_counter()
+            before = link.total_bytes_delivered
+            network.advance(dt)
+            radio_active = link.total_bytes_delivered > before
+            t1 = perf_counter()
+            self.rrc.observe(radio_active, dt)
+            t2 = perf_counter()
+            for player in self._active:
+                player.advance(dt)
+            t3 = perf_counter()
+            network_s += t1 - t0
+            rrc_s += t2 - t1
+            player_s += t3 - t2
+            ticks += 1
+            clock.tick()
+            self.ticks_executed += 1
+            if self._all_done():
+                break
+        profiler.add("network", network_s, ticks)
+        profiler.add("player", player_s, ticks)
+        profiler.add("rrc", rrc_s, ticks)
+
+    # -- churn -------------------------------------------------------------
+
+    def _process_churn(self, now: float) -> None:
+        """Activate due arrivals and retire due departures at ``now``.
+
+        Runs at the top of every (dispatched) tick in both engines, so
+        a client's first advance and its retirement land on exactly the
+        same tick either way — the byte-identity contract extended to
+        churn.
+        """
+        changed = False
+        for index in range(len(self.players)):
+            if not self._arrived[index]:
+                if self.arrivals[index] <= now + 1e-9:
+                    self._arrived[index] = True
+                    changed = True
+                continue
+            if self._retired[index]:
+                continue
+            departure = self.departures[index]
+            if departure is not None and now >= departure - 1e-9:
+                self._retire(index, now)
+                changed = True
+        if changed:
+            self._active = [
+                player
+                for index, player in enumerate(self.players)
+                if self._arrived[index] and not self._retired[index]
+            ]
+
+    def _retire(self, index: int, now: float) -> None:
+        """Tear down a departing client's flows without completions.
+
+        ``TcpConnection.abort`` marks any in-flight transfer aborted
+        *without* firing its completion callback (no re-entrant retry
+        scheduling on a player that will never advance again), then the
+        connections leave the shared link so the remaining clients stop
+        sharing capacity with a ghost.
+        """
+        player = self.players[index]
+        for connection in player.scheduler.connections():
+            connection.abort(now)
+            if connection in self.network.connections:
+                self.network.drop_connection(connection)
+        self._retired[index] = True
+
+    def _all_done(self) -> bool:
+        """Every arrived, unretired client has ended with nothing in
+        flight, and no client is still due to arrive."""
+        if not self._churn:
+            for player in self.players:
+                if not player.ended or player.scheduler.busy:
+                    return False
+            return True
+        for index, player in enumerate(self.players):
+            if self._retired[index]:
+                continue
+            if not self._arrived[index]:
+                if self.arrivals[index] < self._duration - 1e-9:
+                    return False  # still due to arrive
+                continue  # never arrives within this run
+            if not player.ended or player.scheduler.busy:
+                return False
+        return True
+
+
+class Session(SharedLinkSession):
+    """One configured run of one service over one bandwidth schedule.
+
+    The one-client :class:`SharedLinkSession`: it adds the proxy's
+    manifest rewriter and segment rejector, the run's observability
+    plane and the :class:`SessionResult`.
+    """
+
+    def __init__(
+        self,
+        built: BuiltService,
+        server: OriginServer,
+        schedule: BandwidthSchedule,
+        *,
+        dt: float = 0.1,
+        rtt_s: float = 0.05,
+        manifest_rewriter: Optional[ManifestRewriter] = None,
+        reject_after_segments: Optional[int] = None,
+        player_config: Optional[PlayerConfig] = None,
+        faults: Optional[FaultSpec] = None,
+        obs: Optional[Observability] = None,
+    ):
+        if player_config is not None:
+            built = replace(built, player_config=player_config)
+        super().__init__(
+            [built], server, schedule, dt=dt, rtt_s=rtt_s, faults=faults, obs=obs
+        )
+        self.built = built
+        self.player = self.players[0]
         if manifest_rewriter is not None:
             self.proxy.manifest_rewriter = manifest_rewriter
         self.live_analyzer: Optional[TrafficAnalyzer] = None
@@ -163,71 +397,19 @@ class Session:
             self.proxy.rejector = SegmentLimitRejector(
                 self.live_analyzer, reject_after_segments
             )
-        self.player = Player(
-            self.clock,
-            self.network,
-            player_config or built.player_config,
-            built.manifest_url,
-            cipher=built.cipher,
-            tracer=self.obs.tracer,
-        )
 
     def run(self, duration_s: float) -> SessionResult:
         """Tick the world until ``duration_s`` or the session ends."""
         if self.obs.profiler is not None:
             return self._run_profiled(duration_s)
-        dt = self.clock.dt
-        while self.clock.now < duration_s - 1e-9:
-            before = self.network.link.total_bytes_delivered
-            self.network.advance(dt)
-            radio_active = self.network.link.total_bytes_delivered > before
-            self.rrc.observe(radio_active, dt)
-            self.player.advance(dt)
-            self.clock.tick()
-            self.ticks_executed += 1
-            if self.player.ended and not self.player.scheduler.busy:
-                break
+        self._run_ticks(duration_s)
         return self._finish()
 
     def _run_profiled(self, duration_s: float) -> SessionResult:
-        """The serial loop with per-phase wall-time accounting.
-
-        A separate method (not timers inside :meth:`run`) so the
-        default loop pays nothing when profiling is off.  Phase times
-        accumulate in local floats and reach the profiler once at the
-        end.
-        """
-        profiler = self.obs.profiler
-        assert profiler is not None
-        dt = self.clock.dt
-        wall = {"network": 0.0, "player": 0.0, "rrc": 0.0}
-        calls = {"network": 0, "player": 0, "rrc": 0}
-        while self.clock.now < duration_s - 1e-9:
-            t0 = perf_counter()
-            before = self.network.link.total_bytes_delivered
-            self.network.advance(dt)
-            radio_active = self.network.link.total_bytes_delivered > before
-            t1 = perf_counter()
-            self.rrc.observe(radio_active, dt)
-            t2 = perf_counter()
-            self.player.advance(dt)
-            t3 = perf_counter()
-            wall["network"] += t1 - t0
-            wall["rrc"] += t2 - t1
-            wall["player"] += t3 - t2
-            calls["network"] += 1
-            calls["rrc"] += 1
-            calls["player"] += 1
-            self.clock.tick()
-            self.ticks_executed += 1
-            if self.player.ended and not self.player.scheduler.busy:
-                break
+        self._run_ticks_profiled(duration_s)
         t0 = perf_counter()
         result = self._finish()
-        wall["finish"] = perf_counter() - t0
-        calls["finish"] = 1
-        for phase, seconds in wall.items():
-            profiler.add(phase, seconds, calls[phase])
+        self.obs.profiler.add("finish", perf_counter() - t0, 1)
         return result
 
     def _finish(self) -> SessionResult:

@@ -1,8 +1,9 @@
 """Metrics registry: labelled counters, gauges and histograms.
 
-Absorbs the ad-hoc counters that previous PRs scattered across the
-testbed (``ticks_executed``, ``fast_forwarded_ticks``, retry attempt
-counts, cache hit rates) into one queryable structure.  Registries are
+Gathers the testbed's run counters (tick accounting as
+``session.ticks{mode=executed|idle_ff|transfer_ff}``, event-engine
+dispatches, retry attempt counts, cache hit rates) into one queryable
+structure.  Registries are
 mutable and process-local; :class:`MetricsSnapshot` is the frozen,
 picklable, ``==``-comparable form that crosses worker boundaries and
 merges across a sweep.

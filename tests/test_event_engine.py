@@ -189,6 +189,16 @@ def test_unknown_engine_rejected():
         RunSpec(service="H1", duration_s=10.0, engine="warp").build()
 
 
+def test_unknown_engine_rejected_at_construction():
+    """A misspelt engine fails where the spec is written, not later in
+    a pool worker as a quarantined outcome."""
+    with pytest.raises(ValueError, match="unknown engine 'evnt'"):
+        RunSpec(service="H1", profile_id=3, engine="evnt")
+    spec = RunSpec(service="H1", profile_id=3)
+    with pytest.raises(ValueError, match="unknown engine"):
+        replace(spec, engine="evnt")
+
+
 def test_trace_schedule_next_change_skips_equal_samples():
     sched = TraceSchedule.from_samples([2e6, 2e6, 2e6, 5e6, 5e6, 2e6])
     assert sched.next_change_at(0.0) == 3.0  # skips the equal boundaries

@@ -21,6 +21,7 @@ import pickle
 
 import pytest
 
+from repro.cli import main
 from repro.core.fleet import (
     DEVICE_CLASSES,
     FleetSpec,
@@ -92,6 +93,37 @@ class TestOracleIdentity:
         assert tick.clients == event.clients
         assert tick.population == event.population
 
+    def test_event_tick_stats_split_idle_and_transfer(self, tmp_path, capsys):
+        """A busy shared cell batches transfer windows; they are counted
+        as transfer ticks, not idle ones, and every simulated tick is
+        executed or batched exactly once."""
+        spec = FleetSpec(services=("H1", "D1", "S1", "H3"),
+                         schedule=ConstantSchedule(mbps(6)),
+                         duration_s=DURATION_S, content_duration_s=CONTENT_S,
+                         engine="tick")
+        tick = run_fleet(spec).tick_stats
+        event = run_fleet(dataclasses.replace(spec, engine="event")).tick_stats
+        assert event.transfer_fast_forwarded_ticks > 0
+        assert event.transfer_fast_forward_jumps > 0
+        assert (
+            event.ticks_executed
+            + event.idle_fast_forwarded_ticks
+            + event.transfer_fast_forwarded_ticks
+            == tick.ticks_executed
+        )
+        # The CLI reports both batched kinds.
+        path = tmp_path / "fleet.json"
+        assert main(["fleet", "H1", "D1", "S1", "H3", "--cell-mbps", "6",
+                     "--duration", str(DURATION_S), "--content-duration",
+                     str(CONTENT_S), "--json", str(path)]) == 0
+        stats = json.loads(path.read_text())["tick_stats"]
+        batched = (stats["idle_fast_forwarded_ticks"]
+                   + stats["transfer_fast_forwarded_ticks"])
+        assert stats == dataclasses.asdict(event)
+        assert f"{event.ticks_executed} executed, {batched} batched" in (
+            capsys.readouterr().out
+        )
+
 
 class TestChurn:
     CHURN_SPEC = FleetSpec(
@@ -122,6 +154,33 @@ class TestChurn:
         assert jumped.population == plain.population
         assert jumped.tick_stats.idle_fast_forward_jumps > 0
         assert any(c.final_state == "departed" for c in plain.clients)
+
+    def test_no_arrival_within_run_stops_after_one_tick(self):
+        """Every client arrives after the end: the oracle stops after its
+        first tick, and the event engine must not batch the whole run."""
+        spec = FleetSpec(services=("H1", "H1"),
+                         schedule=ConstantSchedule(mbps(1)),
+                         duration_s=10.0, content_duration_s=5.0,
+                         arrival_rate_per_s=0.109375, churn_seed=0,
+                         engine="tick")
+        tick = run_fleet(spec)
+        event = run_fleet(dataclasses.replace(spec, engine="event"))
+        assert all(c.final_state == "unarrived" for c in tick.clients)
+        assert event.clients == tick.clients
+        assert tick.tick_stats.ticks_executed == 1
+        assert event.tick_stats == tick.tick_stats
+
+    def test_churn_dispatches_are_classified(self):
+        from repro.core.fleet import FleetSession
+
+        spec = dataclasses.replace(self.CHURN_SPEC, engine="event")
+        fleet = FleetSession(spec)
+        fleet.run()
+        session = fleet.session
+        assert session.dispatch_counts.get("client_churn", 0) > 0
+        assert sum(session.dispatch_counts.values()) == (
+            session.events_dispatched
+        )
 
     def test_roster_is_deterministic_and_seed_sensitive(self):
         first = self.CHURN_SPEC.roster()

@@ -26,6 +26,7 @@ from repro.core.multi import (
     EventDrivenMultiSession,
     MultiSession,
 )
+from repro.core.parallel import TickStats
 from repro.net.schedule import ConstantSchedule, StepSchedule, TraceSchedule
 from repro.server.origin import OriginServer
 from repro.services.profiles import build_service, get_service
@@ -164,12 +165,18 @@ def test_event_multi_executes_fewer_ticks():
     event_session.run(DURATION_S)
     # Both engines walk the same simulated timeline...
     assert (
-        event_session.ticks_executed + event_session.fast_forwarded_ticks
-        == tick_session.ticks_executed + tick_session.fast_forwarded_ticks
+        TickStats.from_session(event_session).ticks_simulated
+        == TickStats.from_session(tick_session).ticks_simulated
     )
     # ...but the event loop dispatches only event instants.
     assert event_session.ticks_executed < tick_session.ticks_executed
     assert event_session.events_dispatched == event_session.ticks_executed
+    # Every dispatch is classified exactly once, as on one client.
+    assert (
+        sum(event_session.dispatch_counts.values())
+        == event_session.events_dispatched
+    )
+    assert event_session.dispatch_counts.get("transfer_complete", 0) > 0
     assert event_session.queue.pushed_total > 0
     assert event_session.max_queue_depth >= len(event_session.players)
 
