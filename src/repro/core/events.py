@@ -20,10 +20,16 @@ it pins the design:
   ``Network.advance_many`` (the download micro-loop) and
   ``Player.apply_noop_ticks`` — which execute the identical arithmetic
   without any per-tick *decision* logic.
-* Event instants are executed as one full serial tick through exactly
-  the oracle's code path, so everything observable (completions, state
+* Event instants are executed as one serial tick through the oracle's
+  tick body (churn, ``network.advance``, RRC, players, clock).  The
+  players the instant *woke* — wake deadline due or missing, a wire
+  part of theirs completed in this tick's ``network.advance``, or a
+  fault change point due (which wakes everyone) — run the oracle's
+  ``Player.advance``, so everything observable (completions, state
   transitions, trace spans, QoE) is produced by the same code in both
-  engines.
+  engines.  Every other player is inside its certified wake deadline
+  and replays the tick through the vetted no-op primitive
+  ``apply_noop_ticks(1)``, exactly as a batched window would.
 * Dispatch classification is post-hoc (it compares producer
   signatures around the tick), so it cannot perturb the simulation.
 
@@ -33,9 +39,10 @@ Each producer owns its deadline (phase 2 of the engine):
   margin contracts (ABR drain thresholds, segment boundaries,
   rebuffer/resume flips, retry backoffs).  The deadline is *absolute*
   and stays valid until a dispatched tick moves that player's state —
-  mode and margins can only change when a serial tick runs — so it is
-  recomputed only then and re-pushed only when it actually moved.
-  Batch rounds in between re-derive nothing.
+  mode and margins can only change when the player advances — so it
+  is recomputed only for the players a dispatch woke, and re-pushed
+  only when it actually moved.  Batch rounds and sleeping ticks in
+  between re-derive nothing.
 * **Scheduler**: one advisory ``TRANSFER_COMPLETE`` estimate per
   in-flight job, pushed when the job's transfers start (closed-form
   slow-start horizon under a fair capacity share) and cancelled when
@@ -276,10 +283,12 @@ class EventLoopCore:
     own their deadlines in one shared :class:`EventQueue`:
 
     * every active player keeps one ``PLAYER_WAKE``, its absolute
-      margin-contract deadline.  After a dispatched tick only players
-      whose signature (state / wire completions / in-flight count /
-      emitted events / pause flags) moved recompute it; a popped wake
-      always recomputes, so serial stretches re-vet every tick;
+      margin-contract deadline.  A dispatched tick advances only the
+      players it woke (:meth:`_wake_split`); the rest replay it as a
+      certified no-op.  Of the woken, only players whose signature
+      (state / wire completions / in-flight count / emitted events /
+      pause flags) moved recompute it; a popped wake always
+      recomputes, so serial stretches re-vet every tick;
     * every in-flight job one advisory ``TRANSFER_COMPLETE`` estimate;
     * the fault plane and the churn roster their static entries.
 
@@ -299,11 +308,23 @@ class EventLoopCore:
         self.dispatch_counts: dict[str, int] = {}
         self.advance_stop_counts: dict[str, int] = {}
         self.max_queue_depth = 0
+        # Serial advances and certified no-op replays on dispatched
+        # ticks, summed over players (``session.player_advances`` /
+        # ``session.player_sleeps``).
+        self.player_advances = 0
+        self.player_sleeps = 0
         self._completion_due = False
+        self._wake_all = False
         self._limit = 0.0
-        self._wake_handles: list[Event | None] = [None] * len(self.players)
-        self._wake_sigs: list[tuple | None] = [None] * len(self.players)
-        self._job_estimates: dict[int, Event] = {}
+        count = len(self.players)
+        self._wake_handles: list[Event | None] = [None] * count
+        self._wake_sigs: list[tuple | None] = [None] * count
+        # The players the current dispatch advances (see _wake_split).
+        self._awake_ids: list[int] = []
+        # Per player: id(job) -> that in-flight job's completion estimate.
+        self._job_estimates: list[dict[int, Event]] = [
+            {} for _ in range(count)
+        ]
 
     # -- main loop ---------------------------------------------------------
 
@@ -321,7 +342,7 @@ class EventLoopCore:
         self._register_churn_events(duration_s)
         if self._churn:
             self._process_churn(clock.now)
-        self._refresh_producers((), True)
+        self._refresh_producers((), True, self._active_ids)
         if clock.now < limit and self._all_done():
             # Done before the first tick (every churn arrival falls
             # after the end): the oracle still runs one tick before its
@@ -355,14 +376,16 @@ class EventLoopCore:
         Everything around the tick only *reads* state: queue pops
         happen before it, but fault evaluation inside
         ``network.advance`` re-derives faults from time, never from the
-        queue.
+        queue.  A due fault change point wakes every player.
         """
         due = self.queue.pop_due(self.clock.now + 1e-9)
+        fault = EventType.FAULT_CHANGE
+        self._wake_all = any(event.type is fault for event in due)
         self._tick(dt)
         self.events_dispatched += 1
         done = self._all_done()
         # After the final tick nothing is re-armed: the loop breaks.
-        kind = self._refresh_producers(due, not done)
+        kind = self._refresh_producers(due, not done, self._awake_ids)
         counts = self.dispatch_counts
         counts[kind] = counts.get(kind, 0) + 1
         return done
@@ -472,23 +495,74 @@ class EventLoopCore:
                 self._note_depth()
 
     def _retire(self, index: int, now: float) -> None:
+        """Retire the client and cancel the deadlines it owns: its wake
+        and its jobs' completion estimates."""
         super()._retire(index, now)
+        queue = self.queue
         handle = self._wake_handles[index]
         if handle is not None and not handle.cancelled:
-            self.queue.cancel(handle)
+            queue.cancel(handle)
         self._wake_handles[index] = None
+        estimates = self._job_estimates[index]
+        for estimate in estimates.values():
+            queue.cancel(estimate)
+        estimates.clear()
 
-    def _refresh_producers(self, due, arm: bool) -> str:
+    def _wake_split(self) -> tuple:
+        """Split the active players into this dispatch's awake and
+        sleeping sets (runs inside the tick, after ``network.advance``).
+
+        A player is awake when its wake handle was popped as due or is
+        missing (just arrived), when one of its wire parts completed or
+        aborted in this tick's ``network.advance`` (``completed_parts``
+        moved past the stored signature), or when a fault change point
+        is due.  Every other player is inside its certified deadline:
+        the tick is one of the no-op ticks its margin contract vetted,
+        so ``apply_noop_ticks(1)`` replays it bit-identically — the
+        premise batched windows rely on.  Its signature cannot move,
+        so its deadline stays valid and the refresh skips it.
+        """
+        players = self.players
+        active_ids = self._active_ids
+        if self._wake_all:
+            self._awake_ids = active_ids
+            self.player_advances += len(active_ids)
+            return self._active, ()
+        handles = self._wake_handles
+        sigs = self._wake_sigs
+        awake_ids = []
+        awake = []
+        asleep = []
+        for index in active_ids:
+            player = players[index]
+            handle = handles[index]
+            if (
+                handle is None
+                or handle.cancelled
+                or player.scheduler.completed_parts != sigs[index][1]
+            ):
+                awake_ids.append(index)
+                awake.append(player)
+            else:
+                asleep.append(player)
+        self._awake_ids = awake_ids
+        self.player_advances += len(awake)
+        self.player_sleeps += len(asleep)
+        return awake, asleep
+
+    def _refresh_producers(self, due, arm: bool, indices) -> str:
         """Label the dispatch in ``due`` and, if ``arm``, re-arm
-        deadlines for players whose own state moved.
+        deadlines for the players in ``indices`` whose own state moved.
 
-        A player's wake deadline is absolute and its margin premises
-        can only change at a dispatched tick that touched *that*
-        player, so the signature check skips the margin walk for every
-        bystander (the common case on a shared link: one client's
-        completion leaves the other N-1 untouched).  Batched windows
-        move no signature, so each player's stored signature is its
-        state before this tick: comparing old and new labels the tick.
+        ``indices`` are the players the tick advanced (every active
+        player before the first tick); a sleeper's signature cannot
+        have moved, so it is not visited.  A player's wake deadline is
+        absolute and its margin premises can only change at a
+        dispatched tick that touched *that* player, so the signature
+        check skips the margin walk for every awake bystander too.
+        Batched windows move no signature, so each player's stored
+        signature is its state before this tick: comparing old and new
+        labels the tick.
         """
         best = _RANK["noop"]
         for event in due:
@@ -498,12 +572,11 @@ class EventLoopCore:
             if event.type is EventType.CLIENT_CHURN:
                 best = _RANK["client_churn"]
         queue = self.queue
-        churn = self._churn
+        players = self.players
         sigs = self._wake_sigs
         handles = self._wake_handles
-        for index, player in enumerate(self.players):
-            if churn and (not self._arrived[index] or self._retired[index]):
-                continue  # inactive clients own no wake deadline
+        for index in indices:
+            player = players[index]
             sig = _player_signature(player)
             old = sigs[index]
             handle = handles[index]
@@ -527,7 +600,7 @@ class EventLoopCore:
             )
             self._note_depth()
         if arm:
-            self._sync_job_estimates()
+            self._sync_job_estimates(indices)
         return DISPATCH_KINDS[best]
 
     def _player_deadline(self, player) -> float:
@@ -560,43 +633,53 @@ class EventLoopCore:
             ticks = player.stalled_noop_ticks(dt, remaining)
         return now + ticks * dt
 
-    def _sync_job_estimates(self) -> None:
+    def _sync_job_estimates(self, indices) -> None:
         """Scheduler-owned events: one completion estimate per job.
 
         Pushed once when the job's transfers start, cancelled when the
         job leaves flight; never re-pushed in between (the producer's
-        state did not change).  Estimates are advisory lower bounds —
+        state did not change).  Only the players in ``indices`` (the
+        tick's awake set) are visited: a job enters flight only when
+        its player advances and leaves it on a completion or abort,
+        which wakes the player.  Estimates are advisory lower bounds —
         when one is exact, the batch round it bounds ends with an
         ``advance_many`` completion stop at that very tick, making the
         dispatch queue-predicted; when it under-shoots it is skimmed.
         """
-        estimates = self._job_estimates
-        jobs = []
-        for player in self._active:
-            jobs.extend(player.scheduler.jobs())
-        if not jobs and not estimates:
-            return
+        per_player = self._job_estimates
+        players = self.players
         queue = self.queue
-        live_keys = set()
         clock = self.clock
         now = clock.now
         dt = clock.dt
         share = None  # the link's fair share; fixed for the whole sync
-        for job in jobs:
-            key = id(job)
-            live_keys.add(key)
-            if key in estimates:
+        stale = []
+        for index in indices:
+            estimates = per_player[index]
+            jobs = players[index].scheduler.jobs()
+            if not jobs and not estimates:
                 continue
-            if share is None:
-                share = self._fair_share(now)
-            ticks = self._estimate_completion_ticks(job, now, dt, share)
-            estimates[key] = queue.push(
-                now + ticks * dt, EventType.TRANSFER_COMPLETE, job
-            )
-            self._note_depth()
-        if len(estimates) > len(live_keys):
-            for key in [k for k in estimates if k not in live_keys]:
-                queue.cancel(estimates.pop(key))
+            for job in jobs:
+                key = id(job)
+                if key in estimates:
+                    continue
+                if share is None:
+                    share = self._fair_share(now)
+                ticks = self._estimate_completion_ticks(job, now, dt, share)
+                estimates[key] = queue.push(
+                    now + ticks * dt, EventType.TRANSFER_COMPLETE, job
+                )
+                self._note_depth()
+            if len(estimates) > len(jobs):
+                live_keys = {id(job) for job in jobs}
+                stale.extend(
+                    (estimates, key) for key in estimates
+                    if key not in live_keys
+                )
+        # Stale estimates are cancelled after every push, so the peak
+        # queue depth does not depend on the order players are visited.
+        for estimates, key in stale:
+            queue.cancel(estimates.pop(key))
 
     def _next_event_time(self, now: float) -> float:
         """Earliest pending event, dropping stale completion estimates.
@@ -631,9 +714,7 @@ class EventLoopCore:
         """
         network = self.network
         capacity = network.effective_capacity(now)
-        active = sum(
-            1 for conn in network.connections if conn.transfer is not None
-        )
+        active = network.active_transfers()
         return capacity / active if active else capacity
 
     def _estimate_completion_ticks(
@@ -664,6 +745,31 @@ class EventLoopCore:
             self.max_queue_depth = depth
 
     # -- observability -----------------------------------------------------
+
+    def engine_metrics_into(self, metrics) -> None:
+        """Per-event-type dispatch counts, queue stats and wake counts.
+
+        All pure functions of the spec (the sweep-aggregation and fleet
+        determinism contracts): the queue's content is fully determined
+        by the spec's faults, its churn roster and the deterministic
+        producers.
+        """
+        metrics.counter("session.dispatches").inc(self.events_dispatched)
+        for kind in sorted(self.dispatch_counts):
+            metrics.counter("session.events", type=kind).inc(
+                self.dispatch_counts[kind]
+            )
+        metrics.counter("session.queue_pushes").inc(self.queue.pushed_total)
+        metrics.counter("session.queue_cancelled").inc(
+            self.queue.cancelled_total
+        )
+        metrics.gauge("session.queue_depth_max").set(self.max_queue_depth)
+        for reason in sorted(self.advance_stop_counts):
+            metrics.counter("session.advance_stops", reason=reason).inc(
+                self.advance_stop_counts[reason]
+            )
+        metrics.counter("session.player_advances").inc(self.player_advances)
+        metrics.counter("session.player_sleeps").inc(self.player_sleeps)
 
     def _emit_jump(
         self, start: float, layer: str | None, ticks: int, bound: str
@@ -703,29 +809,6 @@ class EventDrivenSession(EventLoopCore, Session):
     def run(self, duration_s: float) -> SessionResult:
         self._run_events(duration_s)
         return self._finish()
-
-    def _record_metrics(self) -> None:
-        """Per-event-type dispatch counts and queue stats, on top of the
-        base session counters.  All pure functions of the RunSpec (the
-        sweep-aggregation contract): the queue's content is fully
-        determined by the spec's faults and the deterministic producers.
-        """
-        super()._record_metrics()
-        metrics = self.obs.metrics
-        metrics.counter("session.dispatches").inc(self.events_dispatched)
-        for kind in sorted(self.dispatch_counts):
-            metrics.counter("session.events", type=kind).inc(
-                self.dispatch_counts[kind]
-            )
-        metrics.counter("session.queue_pushes").inc(self.queue.pushed_total)
-        metrics.counter("session.queue_cancelled").inc(
-            self.queue.cancelled_total
-        )
-        metrics.gauge("session.queue_depth_max").set(self.max_queue_depth)
-        for reason in sorted(self.advance_stop_counts):
-            metrics.counter("session.advance_stops", reason=reason).inc(
-                self.advance_stop_counts[reason]
-            )
 
 
 # Re-exported for the multi-session event loop.

@@ -611,6 +611,7 @@ def run_fleet(
     population = summarize_population(records)
     registry = MetricsRegistry()
     _populate_registry(registry, records, population)
+    session.session.engine_metrics_into(registry)
     return FleetOutcome(
         spec=spec,
         clients=records,

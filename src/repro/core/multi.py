@@ -101,13 +101,38 @@ class MultiSession(SharedLinkSession):
             return "departed"
         return self.players[index].state.value
 
+    def _flows_by_asset(self) -> dict[str, list]:
+        """Every client's captured flows, keyed by asset id, in one pass.
+
+        A flow belongs to an asset when ``/{asset_id}/`` occurs in its
+        URL.  For an id without ``/`` that is the same as the id being
+        one of the URL's inner ``/``-separated segments, so one split
+        per flow serves every client; a URL naming an asset twice is
+        still listed once.  Capture order is kept.
+        """
+        flows = self.proxy.flows
+        groups: dict[str, list] = {}
+        for built in self.builts:
+            asset_id = built.asset.asset_id
+            if "/" in asset_id:
+                marker = f"/{asset_id}/"
+                groups[asset_id] = [f for f in flows if marker in f.url]
+            else:
+                groups[asset_id] = []
+        for flow in flows:
+            for segment in flow.url.split("/")[1:-1]:
+                group = groups.get(segment)
+                if group is not None and (not group or group[-1] is not flow):
+                    group.append(flow)
+        return groups
+
     def _collect_results(self) -> list[ClientResult]:
         results = []
+        flows_by_asset = self._flows_by_asset()
         for index, (built, player) in enumerate(
             zip(self.builts, self.players)
         ):
-            marker = f"/{built.asset.asset_id}/"
-            flows = [flow for flow in self.proxy.flows if marker in flow.url]
+            flows = flows_by_asset[built.asset.asset_id]
             analyzer = TrafficAnalyzer()
             analyzer.observe_flows(flows)
             ui = UiMonitor(player.ui_samples)

@@ -212,86 +212,90 @@ class SharedLinkSession:
         )
         self._arrived = [a <= 1e-9 for a in self.arrivals]
         self._retired = [False] * count
-        self._active = [
-            player
-            for index, player in enumerate(self.players)
-            if self._arrived[index]
+        self._active_ids = [
+            index for index in range(count) if self._arrived[index]
         ]
+        self._active = [self.players[index] for index in self._active_ids]
         self._duration = 0.0
 
     # -- the tick body -----------------------------------------------------
 
-    def _tick(self, dt: float) -> None:
+    def _tick(self, dt: float, lap=None) -> None:
         """One serial tick: churn, network, RRC, players, clock.
 
         The only tick body: the tick loop runs it every tick and the
-        event engines run it at every event instant.
+        event engines run it at every event instant, where the players
+        :meth:`_wake_split` puts to sleep replay it as a no-op.
+        ``lap`` (the profiled tick loop's timer) is called at the start
+        of the timed phases with None and after each with its name.
         """
         if self._churn:
             self._process_churn(self.clock.now)
         network = self.network
         link = network.link
+        if lap is not None:
+            lap(None)
         before = link.total_bytes_delivered
         network.advance(dt)
-        self.rrc.observe(link.total_bytes_delivered > before, dt)
-        for player in self._active:
+        radio_active = link.total_bytes_delivered > before
+        if lap is not None:
+            lap("network")
+        self.rrc.observe(radio_active, dt)
+        if lap is not None:
+            lap("rrc")
+        awake, asleep = self._wake_split()
+        for player in awake:
             player.advance(dt)
+        for player in asleep:
+            player.apply_noop_ticks(1, dt)
+        if lap is not None:
+            lap("player")
         self.clock.tick()
         self.ticks_executed += 1
 
-    def _run_ticks(self, duration_s: float) -> None:
+    def _wake_split(self) -> tuple[Sequence[Player], Sequence[Player]]:
+        """The active players this tick advances, and those that replay
+        it as a certified no-op (``apply_noop_ticks(1)``).
+
+        Called after ``network.advance``, so completions this tick are
+        visible.  The tick oracle advances everyone; the event engine
+        lets players inside their wake deadline sleep.
+        """
+        return self._active, ()
+
+    def _run_ticks(self, duration_s: float, lap=None) -> None:
         """Tick the world until ``duration_s`` or every client is done."""
         self._duration = duration_s
         dt = self.clock.dt
         limit = duration_s - 1e-9
         clock = self.clock
         while clock.now < limit:
-            self._tick(dt)
+            self._tick(dt, lap)
             if self._all_done():
                 break
 
     def _run_ticks_profiled(self, duration_s: float) -> None:
         """:meth:`_run_ticks` with per-phase wall-time accounting.
 
-        The same tick body with timers around its layers; a separate
-        method so the default loop pays nothing when profiling is off.
-        Phase times accumulate in local floats and reach the profiler
-        once at the end.
+        The same tick body, timed at its phase boundaries.  Phase times
+        accumulate in a local dict and reach the profiler once at the
+        end.
         """
-        profiler = self.obs.profiler
-        assert profiler is not None
-        self._duration = duration_s
-        dt = self.clock.dt
-        limit = duration_s - 1e-9
-        clock = self.clock
-        network = self.network
-        link = network.link
-        network_s = player_s = rrc_s = 0.0
-        ticks = 0
-        while clock.now < limit:
-            if self._churn:
-                self._process_churn(clock.now)
-            t0 = perf_counter()
-            before = link.total_bytes_delivered
-            network.advance(dt)
-            radio_active = link.total_bytes_delivered > before
-            t1 = perf_counter()
-            self.rrc.observe(radio_active, dt)
-            t2 = perf_counter()
-            for player in self._active:
-                player.advance(dt)
-            t3 = perf_counter()
-            network_s += t1 - t0
-            rrc_s += t2 - t1
-            player_s += t3 - t2
-            ticks += 1
-            clock.tick()
-            self.ticks_executed += 1
-            if self._all_done():
-                break
-        profiler.add("network", network_s, ticks)
-        profiler.add("player", player_s, ticks)
-        profiler.add("rrc", rrc_s, ticks)
+        phases = {"network": 0.0, "player": 0.0, "rrc": 0.0}
+        mark = 0.0
+
+        def lap(phase):
+            nonlocal mark
+            now = perf_counter()
+            if phase is not None:
+                phases[phase] += now - mark
+            mark = now
+
+        ticks_before = self.ticks_executed
+        self._run_ticks(duration_s, lap)
+        ticks = self.ticks_executed - ticks_before
+        for phase, wall_s in phases.items():
+            self.obs.profiler.add(phase, wall_s, ticks)
 
     # -- churn -------------------------------------------------------------
 
@@ -317,11 +321,12 @@ class SharedLinkSession:
                 self._retire(index, now)
                 changed = True
         if changed:
-            self._active = [
-                player
-                for index, player in enumerate(self.players)
+            self._active_ids = [
+                index
+                for index in range(len(self.players))
                 if self._arrived[index] and not self._retired[index]
             ]
+            self._active = [self.players[index] for index in self._active_ids]
 
     def _retire(self, index: int, now: float) -> None:
         """Tear down a departing client's flows without completions.
@@ -357,6 +362,13 @@ class SharedLinkSession:
             if not player.ended or player.scheduler.busy:
                 return False
         return True
+
+    def engine_metrics_into(self, metrics) -> None:
+        """Record the engine's own counters into ``metrics``.
+
+        The tick loop keeps none beyond its tick counts; the event
+        engine adds its dispatch, queue and wake counters.
+        """
 
 
 class Session(SharedLinkSession):
@@ -462,3 +474,4 @@ class Session(SharedLinkSession):
         metrics.counter("rrc.energy_j").inc(self.rrc.energy_j)
         self.network.metrics_into(metrics)
         self.player.metrics_into(metrics)
+        self.engine_metrics_into(metrics)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import attrgetter
 from typing import Callable, Optional, Protocol
 
 from repro.net.clock import Clock
@@ -22,6 +23,9 @@ from repro.net.tcp import TcpConnection, TcpConnectionState, Transfer
 from repro.util import check_non_negative
 
 DEFAULT_HEADER_OVERHEAD_BYTES = 360
+
+# A connection's in-flight transfer, read without the property call.
+_TRANSFER_OF = attrgetter("_transfer")
 
 # Stop reasons for :meth:`Network.advance_many` — *why* the batched
 # micro-loop returned.  Callers use them for control flow (a
@@ -200,6 +204,12 @@ class Network:
         if self.schedule is not None:
             return self.schedule.bandwidth_at(t)
         return self.link.capacity_bps
+
+    def active_transfers(self) -> int:
+        """How many connections carry a transfer right now (one C-level
+        pass over the connection list, no per-connection Python call)."""
+        transfers = list(map(_TRANSFER_OF, self.connections))
+        return len(transfers) - transfers.count(None)
 
     def steady_for_batching(self) -> bool:
         """True when batched ticks can replay this network exactly.

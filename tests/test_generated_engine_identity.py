@@ -9,8 +9,11 @@ produces the same simulated results:
 * a one-client :class:`MultiSession` / :class:`EventDrivenMultiSession`
   reproduces :class:`Session`'s QoE, player events and UI samples —
   the single-client engines are the multi-client ones with one player;
-* a 2–4 client explicit-roster :class:`FleetSpec`, with or without
-  churn, gives the same ``ClientRecord``s on both engines.
+* a 2–6 client explicit-roster :class:`FleetSpec` over the stock
+  device classes and one of the stock fault scenarios, with or without
+  churn, gives the same ``ClientRecord``s on both engines.  Fleets are
+  where the event engine lets players sleep through a dispatched tick,
+  so fault instants (which wake every player) are always drawn there.
 
 Example counts are bounded so the file stays a few seconds of tier-1.
 """
@@ -23,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blackbox.resilience import standard_fault_scenarios
-from repro.core.fleet import FleetSpec, run_fleet
+from repro.core.fleet import DEVICE_CLASSES, FleetSpec, run_fleet
 from repro.core.multi import EventDrivenMultiSession, MultiSession
 from repro.core.parallel import RunSpec
 from repro.core.run import run_one
@@ -38,8 +41,12 @@ SCENARIO_COUNT = len(standard_fault_scenarios())
 
 
 @st.composite
-def run_inputs(draw):
-    """Keyword arguments shared by a RunSpec and a FleetSpec."""
+def run_inputs(draw, scenarios=st.none() | st.integers(0, SCENARIO_COUNT - 1)):
+    """Keyword arguments shared by a RunSpec and a FleetSpec.
+
+    ``scenarios`` draws an index into the stock fault scenarios (index
+    0 is the fault-free baseline) or None for no fault spec at all.
+    """
     duration_s = float(draw(st.integers(min_value=10, max_value=90)))
     content_s = float(draw(st.integers(min_value=5, max_value=int(duration_s))))
     if draw(st.booleans()):
@@ -47,7 +54,7 @@ def run_inputs(draw):
     else:
         rate = draw(st.floats(min_value=0.3, max_value=20.0))
         bandwidth = {"schedule": ConstantSchedule(mbps(rate))}
-    scenario = draw(st.none() | st.integers(0, SCENARIO_COUNT - 1))
+    scenario = draw(scenarios)
     faults = (
         None
         if scenario is None
@@ -98,8 +105,11 @@ def test_one_client_multi_session_is_session(service, inputs):
 
 @settings(max_examples=50, deadline=None)
 @given(
-    names=st.lists(services, min_size=2, max_size=4),
-    inputs=run_inputs(),
+    names=st.lists(services, min_size=2, max_size=6),
+    devices=st.lists(
+        st.sampled_from(sorted(DEVICE_CLASSES)), min_size=1, max_size=3
+    ),
+    inputs=run_inputs(scenarios=st.integers(0, SCENARIO_COUNT - 1)),
     churn=st.none()
     | st.tuples(
         st.floats(min_value=0.1, max_value=1.0),
@@ -107,7 +117,9 @@ def test_one_client_multi_session_is_session(service, inputs):
         st.integers(min_value=0, max_value=1000),
     ),
 )
-def test_fleet_client_records_equal_across_engines(names, inputs, churn):
+def test_fleet_client_records_equal_across_engines(
+    names, devices, inputs, churn
+):
     if churn is not None:
         rate, dwell, seed = churn
         inputs = dict(
@@ -116,7 +128,12 @@ def test_fleet_client_records_equal_across_engines(names, inputs, churn):
             mean_dwell_s=dwell,
             churn_seed=seed,
         )
-    spec = FleetSpec(services=tuple(names), engine="tick", **inputs)
+    spec = FleetSpec(
+        services=tuple(names),
+        devices=tuple(DEVICE_CLASSES[name] for name in devices),
+        engine="tick",
+        **inputs,
+    )
     tick = run_fleet(spec)
     event = run_fleet(replace(spec, engine="event"))
     assert event.clients == tick.clients
