@@ -28,8 +28,10 @@ it pins the design:
   ``Player.advance``, so everything observable (completions, state
   transitions, trace spans, QoE) is produced by the same code in both
   engines.  Every other player is inside its certified wake deadline
-  and replays the tick through the vetted no-op primitive
-  ``apply_noop_ticks(1)``, exactly as a batched window would.
+  and owes the tick as a no-op, exactly as it owes a batched window's
+  ticks; the debt is paid in one ``apply_noop_ticks`` call when the
+  player wakes (before its transfers' callbacks fire), retires or the
+  run ends, which replays the owed ticks bit-identically.
 * Dispatch classification is post-hoc (it compares producer
   signatures around the tick), so it cannot perturb the simulation.
 
@@ -284,19 +286,22 @@ class EventLoopCore:
 
     * every active player keeps one ``PLAYER_WAKE``, its absolute
       margin-contract deadline.  A dispatched tick advances only the
-      players it woke (:meth:`_wake_split`); the rest replay it as a
-      certified no-op.  Of the woken, only players whose signature
-      (state / wire completions / in-flight count / emitted events /
-      pause flags) moved recompute it; a popped wake always
-      recomputes, so serial stretches re-vet every tick;
+      players it woke (:meth:`_wake_split`); the rest owe it as a
+      certified no-op (:meth:`_catch_up`).  Of the woken, only
+      players whose signature (state / wire completions / in-flight
+      count / emitted events / pause flags) moved recompute it; a
+      popped wake always recomputes, so serial stretches re-vet every
+      tick;
     * every in-flight job one advisory ``TRANSFER_COMPLETE`` estimate;
     * the fault plane and the churn roster their static entries.
 
     Batched windows replay through the proven per-tick primitives
-    (``Network.advance_many`` over the shared link, per-player
-    ``apply_noop_ticks``, per-tick RRC observations).  Each dispatch is
-    labelled post-hoc from the same signatures (:data:`DISPATCH_KINDS`),
-    so the classifier adds no second per-player scan.
+    (``Network.advance_many`` over the shared link's live connections,
+    per-tick RRC observations); the players owe the window's ticks and
+    pay them with ``apply_noop_ticks`` at their next catch-up.  Each
+    dispatch is labelled post-hoc from the same signatures
+    (:data:`DISPATCH_KINDS`), so the classifier adds no second
+    per-player scan.
     """
 
     engine = "event"
@@ -319,8 +324,20 @@ class EventLoopCore:
         count = len(self.players)
         self._wake_handles: list[Event | None] = [None] * count
         self._wake_sigs: list[tuple | None] = [None] * count
-        # The players the current dispatch advances (see _wake_split).
+        # The players the current dispatch's due events name (wakes and
+        # arrivals), and the players it advances (see _wake_split).
+        self._woken: set[int] = set()
         self._awake_ids: list[int] = []
+        # Who owns each connection: a tick's ended transfers wake their
+        # owners.  Schedulers open every connection at construction.
+        self._owner = {
+            connection: index
+            for index, player in enumerate(self.players)
+            for connection in player.scheduler.connections()
+        }
+        # Per player: (tick count, clock value) at the first no-op tick
+        # it still owes, or None when it owes none (see _catch_up).
+        self._debt_since: list[tuple[int, float] | None] = [None] * count
         # Per player: id(job) -> that in-flight job's completion estimate.
         self._job_estimates: list[dict[int, Event]] = [
             {} for _ in range(count)
@@ -343,6 +360,8 @@ class EventLoopCore:
         if self._churn:
             self._process_churn(clock.now)
         self._refresh_producers((), True, self._active_ids)
+        for index in self._active_ids:
+            self._debt_since[index] = (self._ticks_elapsed(), clock.now)
         if clock.now < limit and self._all_done():
             # Done before the first tick (every churn arrival falls
             # after the end): the oracle still runs one tick before its
@@ -366,6 +385,10 @@ class EventLoopCore:
                 continue
             if self._batch_to(min(next_t, limit), limit, dt):
                 break
+        # The one catch-up point for the run's readers (results, QoE,
+        # metrics): every client still on the cell pays its debt.
+        for index in self._active_ids:
+            self._catch_up(index)
         if profiler is not None:
             profiler.add("event_loop", perf_counter() - t0, 1)
 
@@ -381,8 +404,20 @@ class EventLoopCore:
         due = self.queue.pop_due(self.clock.now + 1e-9)
         fault = EventType.FAULT_CHANGE
         self._wake_all = any(event.type is fault for event in due)
+        # Due wakes, and arrivals (a departure retires its payload).
+        self._woken = {
+            event.payload
+            for event in due
+            if event.type is EventType.PLAYER_WAKE
+            or event.type is EventType.CLIENT_CHURN
+        }
         self._tick(dt)
         self.events_dispatched += 1
+        # The advanced players owe nothing up to the new clock value.
+        paid = (self._ticks_elapsed(), self.clock.now)
+        debts = self._debt_since
+        for index in self._awake_ids:
+            debts[index] = paid
         done = self._all_done()
         # After the final tick nothing is re-armed: the loop breaks.
         kind = self._refresh_producers(due, not done, self._awake_ids)
@@ -424,8 +459,7 @@ class EventLoopCore:
                 # A completion or fault is due on this very tick.
                 self._completion_due = False
                 return self._dispatch_tick(dt)
-            for player in players:
-                player.apply_noop_ticks(executed, dt)
+            # Every player owes these ticks as no-ops (see _catch_up).
             for radio_active in activity:
                 rrc.observe(radio_active, dt)
                 clock.tick()
@@ -438,10 +472,9 @@ class EventLoopCore:
             # contract covers this edge, so the tick runs serially.
             return self._dispatch_tick(dt)
         # With no transfer on the link it moves no bytes and connection
-        # control is a no-op (state-independent): replay player no-ops,
-        # RRC idle observations and clock ticks, skip network.advance.
-        for player in players:
-            player.apply_noop_ticks(ticks, dt)
+        # control is a no-op (state-independent): replay RRC idle
+        # observations and clock ticks, skip network.advance; the
+        # players owe the ticks as no-ops.
         for _ in range(ticks):
             rrc.observe(False, dt)
             clock.tick()
@@ -496,7 +529,10 @@ class EventLoopCore:
 
     def _retire(self, index: int, now: float) -> None:
         """Retire the client and cancel the deadlines it owns: its wake
-        and its jobs' completion estimates."""
+        and its jobs' completion estimates.  It pays its no-op debt
+        first: it never advances again, but its results are read."""
+        self._catch_up(index)
+        self._debt_since[index] = None
         super()._retire(index, now)
         queue = self.queue
         handle = self._wake_handles[index]
@@ -508,47 +544,86 @@ class EventLoopCore:
             queue.cancel(estimate)
         estimates.clear()
 
-    def _wake_split(self) -> tuple:
-        """Split the active players into this dispatch's awake and
-        sleeping sets (runs inside the tick, after ``network.advance``).
+    def _wake_split(self, ended) -> list:
+        """The active players this dispatch advances (runs inside the
+        tick, after ``network.advance``), each caught up first.
 
-        A player is awake when its wake handle was popped as due or is
-        missing (just arrived), when one of its wire parts completed or
-        aborted in this tick's ``network.advance`` (``completed_parts``
-        moved past the stored signature), or when a fault change point
-        is due.  Every other player is inside its certified deadline:
-        the tick is one of the no-op ticks its margin contract vetted,
-        so ``apply_noop_ticks(1)`` replays it bit-identically — the
-        premise batched windows rely on.  Its signature cannot move,
-        so its deadline stays valid and the refresh skips it.
+        A player is awake when its wake handle was popped as due, when
+        it arrived this tick (it has no wake yet), when one of its
+        connections' transfers completed or aborted in this tick's
+        ``network.advance`` (``ended``), or when a fault change point is
+        due.  The set is built from those causes alone; sleepers are
+        not visited.  Every other player is inside its certified
+        deadline: the tick is one of the no-op ticks its margin contract
+        vetted, so it is owed as a no-op — the premise batched windows
+        rely on.  Its signature cannot move, so its deadline stays valid
+        and the refresh skips it.
         """
-        players = self.players
         active_ids = self._active_ids
         if self._wake_all:
-            self._awake_ids = active_ids
-            self.player_advances += len(active_ids)
-            return self._active, ()
-        handles = self._wake_handles
-        sigs = self._wake_sigs
-        awake_ids = []
-        awake = []
-        asleep = []
-        for index in active_ids:
-            player = players[index]
-            handle = handles[index]
-            if (
-                handle is None
-                or handle.cancelled
-                or player.scheduler.completed_parts != sigs[index][1]
-            ):
-                awake_ids.append(index)
-                awake.append(player)
-            else:
-                asleep.append(player)
+            awake_ids = active_ids
+            awake = self._active
+        else:
+            woken = self._woken
+            if ended:
+                owner = self._owner
+                woken.update(owner.get(connection) for connection in ended)
+                woken.discard(None)
+            arrived = self._arrived
+            retired = self._retired
+            awake_ids = sorted(
+                index for index in woken if arrived[index] and not retired[index]
+            )
+            players = self.players
+            awake = [players[index] for index in awake_ids]
+        for index in awake_ids:
+            self._catch_up(index)
         self._awake_ids = awake_ids
-        self.player_advances += len(awake)
-        self.player_sleeps += len(asleep)
-        return awake, asleep
+        self.player_advances += len(awake_ids)
+        self.player_sleeps += len(active_ids) - len(awake_ids)
+        return awake
+
+    def _settle_owners(self, connections) -> None:
+        """Catch up the owners of ``connections`` before the network
+        fires their completion or abort callbacks, which read and move
+        player state.  These owners wake this tick anyway."""
+        owner = self._owner
+        for connection in connections:
+            index = owner.get(connection)
+            if index is not None:
+                self._catch_up(index)
+
+    def _ticks_elapsed(self) -> int:
+        """Ticks the clock has moved, dispatched and batched."""
+        return (
+            self.ticks_executed
+            + self.fast_forwarded_ticks
+            + self.transfer_fast_forwarded_ticks
+        )
+
+    def _catch_up(self, index: int) -> None:
+        """Pay player ``index``'s debt of certified no-op ticks.
+
+        A player that is not advanced on a tick — asleep on a dispatch
+        or inside a batched window — owes it as a no-op.  The debt is
+        paid here, in one ``apply_noop_ticks`` from the clock value it
+        started at, which equals replaying every owed tick as it passed.
+        Called when the player wakes (a fault wake-all included) — or
+        earlier in that tick, before the network fires a callback of
+        one of its transfers (:meth:`_settle_owners`) — when it
+        retires, and once at the end of the run, before anything reads
+        results.  Between catch-ups nothing reads a sleeper's playhead,
+        UI samples or buffers: the loop reads only its state, ``ended``
+        and scheduler, which no-op ticks do not move.
+        """
+        since = self._debt_since[index]
+        if since is None:
+            return
+        ticks, start = since
+        owed = self._ticks_elapsed() - ticks
+        if owed > 0:
+            self.players[index].apply_noop_ticks(owed, self.clock.dt, start)
+            self._debt_since[index] = (ticks + owed, self.clock.now)
 
     def _refresh_producers(self, due, arm: bool, indices) -> str:
         """Label the dispatch in ``due`` and, if ``arm``, re-arm

@@ -224,10 +224,11 @@ class SharedLinkSession:
         """One serial tick: churn, network, RRC, players, clock.
 
         The only tick body: the tick loop runs it every tick and the
-        event engines run it at every event instant, where the players
-        :meth:`_wake_split` puts to sleep replay it as a no-op.
-        ``lap`` (the profiled tick loop's timer) is called at the start
-        of the timed phases with None and after each with its name.
+        event engines run it at every event instant, where only the
+        players :meth:`_wake_split` wakes are advanced (the rest owe
+        the tick as a certified no-op, paid later).  ``lap`` (the
+        profiled tick loop's timer) is called at the start of the timed
+        phases with None and after each with its name.
         """
         if self._churn:
             self._process_churn(self.clock.now)
@@ -236,32 +237,34 @@ class SharedLinkSession:
         if lap is not None:
             lap(None)
         before = link.total_bytes_delivered
-        network.advance(dt)
+        ended = network.advance(dt, self._settle_owners)
         radio_active = link.total_bytes_delivered > before
         if lap is not None:
             lap("network")
         self.rrc.observe(radio_active, dt)
         if lap is not None:
             lap("rrc")
-        awake, asleep = self._wake_split()
-        for player in awake:
+        for player in self._wake_split(ended):
             player.advance(dt)
-        for player in asleep:
-            player.apply_noop_ticks(1, dt)
         if lap is not None:
             lap("player")
         self.clock.tick()
         self.ticks_executed += 1
 
-    def _wake_split(self) -> tuple[Sequence[Player], Sequence[Player]]:
-        """The active players this tick advances, and those that replay
-        it as a certified no-op (``apply_noop_ticks(1)``).
+    #: Called by ``network.advance`` with the connections whose
+    #: transfers end this tick, before their callbacks run.  Every
+    #: player is current in the tick loop; the event engine pays the
+    #: owners' deferred no-op ticks here.
+    _settle_owners = None
 
-        Called after ``network.advance``, so completions this tick are
-        visible.  The tick oracle advances everyone; the event engine
-        lets players inside their wake deadline sleep.
+    def _wake_split(self, ended) -> Sequence[Player]:
+        """The active players this tick advances.
+
+        Called after ``network.advance``, with the connections whose
+        transfer ended in it.  The tick oracle advances everyone; the
+        event engine lets players inside their wake deadline sleep.
         """
-        return self._active, ()
+        return self._active
 
     def _run_ticks(self, duration_s: float, lap=None) -> None:
         """Tick the world until ``duration_s`` or every client is done."""
@@ -331,17 +334,14 @@ class SharedLinkSession:
     def _retire(self, index: int, now: float) -> None:
         """Tear down a departing client's flows without completions.
 
-        ``TcpConnection.abort`` marks any in-flight transfer aborted
-        *without* firing its completion callback (no re-entrant retry
-        scheduling on a player that will never advance again), then the
-        connections leave the shared link so the remaining clients stop
-        sharing capacity with a ghost.
+        ``Network.retire_connections`` marks any in-flight transfer
+        aborted *without* firing its completion callback (no re-entrant
+        retry scheduling on a player that will never advance again),
+        then the connections leave the shared link so the remaining
+        clients stop sharing capacity with a ghost.
         """
         player = self.players[index]
-        for connection in player.scheduler.connections():
-            connection.abort(now)
-            if connection in self.network.connections:
-                self.network.drop_connection(connection)
+        self.network.retire_connections(player.scheduler.connections(), now)
         self._retired[index] = True
 
     def _all_done(self) -> bool:

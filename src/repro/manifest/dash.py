@@ -35,6 +35,14 @@ _SIDX_COUNTS = struct.Struct(">HH")
 _SIDX_REFERENCE = struct.Struct(">III")
 
 
+def _sidx_size_bytes(reference_count: int) -> int:
+    """Encoded size of a version-0 sidx box with ``reference_count``
+    subsegment references."""
+    return _SIDX_HEADER.size + _SIDX_COUNTS.size + (
+        _SIDX_REFERENCE.size * reference_count
+    )
+
+
 @dataclass(frozen=True)
 class SidxReference:
     """One subsegment reference inside a sidx box."""
@@ -70,9 +78,7 @@ class SidxBox:
 
     @property
     def size_bytes(self) -> int:
-        return _SIDX_HEADER.size + _SIDX_COUNTS.size + (
-            _SIDX_REFERENCE.size * len(self.references)
-        )
+        return _sidx_size_bytes(len(self.references))
 
     def encode(self) -> bytes:
         header = _SIDX_HEADER.pack(
@@ -173,7 +179,11 @@ class DashBuilder:
         return SidxBox(timescale=self.timescale, references=references)
 
     def header_size(self, track: Track) -> int:
-        return self.sidx(track).size_bytes
+        """The sidx box's size: one reference per segment.  Every byte
+        offset in the media file reads it, so it is derived from the
+        segment count instead of building the box (hosting builds each
+        track's box once, for its bytes)."""
+        return _sidx_size_bytes(len(track.segments))
 
     def media_file_size(self, track: Track) -> int:
         return self.header_size(track) + track.total_bytes
@@ -275,11 +285,14 @@ class DashBuilder:
             if seg.index == 0:
                 element["t"] = "0"
             ElementTree.SubElement(timeline, "S", element)
+        # byte_range_of per segment, with the offsets summed as we go.
+        start = self.header_size(track)
         for seg in track.segments:
-            start, end = self.byte_range_of(track, seg.index)
+            end = start + seg.size_bytes - 1
             ElementTree.SubElement(
                 segment_list, "SegmentURL", {"mediaRange": f"{start}-{end}"}
             )
+            start = end + 1
 
 
 def _format_duration(seconds: float) -> str:

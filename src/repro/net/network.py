@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import attrgetter
+from bisect import bisect_left, bisect_right, insort
 from typing import Callable, Optional, Protocol
 
 from repro.net.clock import Clock
@@ -23,9 +23,6 @@ from repro.net.tcp import TcpConnection, TcpConnectionState, Transfer
 from repro.util import check_non_negative
 
 DEFAULT_HEADER_OVERHEAD_BYTES = 360
-
-# A connection's in-flight transfer, read without the property call.
-_TRANSFER_OF = attrgetter("_transfer")
 
 # Stop reasons for :meth:`Network.advance_many` — *why* the batched
 # micro-loop returned.  Callers use them for control flow (a
@@ -71,14 +68,24 @@ class Network:
         self.connections: list[TcpConnection] = []
         self.observers: list[NetworkObserver] = []
         self._conn_ids = itertools.count(1)
+        # Creation rank of every known connection: O(1) membership and
+        # the sort key that keeps the live set in ``connections`` order.
+        self._rank: dict[TcpConnection, int] = {}
+        # The live set: the connections that carry a transfer, in
+        # creation order.  Every other connection is CLOSED or idle
+        # ESTABLISHED (a CONNECTING one always carries the transfer that
+        # opened it), so its ``advance_control`` is a no-op and its
+        # ``rate_cap_bps`` is 0: water-filling never hands it a byte.
+        # Ticking only this set is therefore exact, in delivery order.
+        self._live: list[TcpConnection] = []
 
     # -- connection management --------------------------------------------
 
     def new_connection(self, label: str = "conn") -> TcpConnection:
-        connection = TcpConnection(
-            conn_id=f"{label}-{next(self._conn_ids)}", rtt_s=self.rtt_s
-        )
+        number = next(self._conn_ids)
+        connection = TcpConnection(conn_id=f"{label}-{number}", rtt_s=self.rtt_s)
         self.connections.append(connection)
+        self._rank[connection] = number
         return connection
 
     def drop_connection(self, connection: TcpConnection) -> None:
@@ -86,6 +93,32 @@ class Network:
             raise RuntimeError(f"{connection.conn_id}: dropping mid-transfer")
         connection.close()
         self.connections.remove(connection)
+        del self._rank[connection]
+
+    def retire_connections(
+        self, connections: list[TcpConnection], now: float
+    ) -> None:
+        """Tear down and drop a departing client's connections.
+
+        Each in-flight transfer is aborted *without* its completion
+        callback (the owner never advances again), then the connection
+        leaves the live set and the network.  Connections already
+        dropped are skipped.
+        """
+        for connection in connections:
+            if connection.transfer is not None:
+                self._leave(connection)
+            connection.abort(now)
+            if connection in self._rank:
+                self.drop_connection(connection)
+
+    def _leave(self, connection: TcpConnection) -> None:
+        """Take ``connection`` out of the live set (its transfer ends)."""
+        live = self._live
+        at = bisect_left(live, self._rank[connection], key=self._rank.__getitem__)
+        if at == len(live) or live[at] is not connection:
+            raise RuntimeError(f"{connection.conn_id}: not in the live set")
+        del live[at]
 
     # -- requests -----------------------------------------------------------
 
@@ -96,7 +129,7 @@ class Network:
         on_complete: Callable[[HttpResponse], None],
     ) -> Transfer:
         """Issue ``request`` on ``connection``; completion is async."""
-        if connection not in self.connections:
+        if connection not in self._rank:
             raise RuntimeError(f"unknown connection {connection.conn_id}")
         plan = self.handler.handle(request)
         now = self.clock.now
@@ -146,6 +179,7 @@ class Network:
             self.faults.extra_latency_at(now) if self.faults is not None else 0.0
         )
         connection.start_transfer(transfer, now, extra_latency)
+        insort(self._live, connection, key=self._rank.__getitem__)
         return transfer
 
     def abort_transfer(self, connection: TcpConnection) -> None:
@@ -154,34 +188,78 @@ class Network:
         The completion callback fires immediately with an aborted
         response, so the client reacts on this very tick.
         """
+        if connection.transfer is not None:
+            self._leave(connection)
         transfer = connection.abort(self.clock.now)
         if transfer is not None and transfer.on_complete is not None:
             transfer.on_complete(transfer)
 
     # -- time ---------------------------------------------------------------
 
-    def advance(self, dt: float) -> None:
-        """Move one tick of bytes and fire completion callbacks."""
+    def advance(
+        self,
+        dt: float,
+        before_callbacks: Optional[Callable[[list[TcpConnection]], None]] = None,
+    ) -> list[TcpConnection]:
+        """Move one tick of bytes and fire completion callbacks.
+
+        Returns the connections whose transfer ended this tick —
+        aborted by a due reset or completed — so a caller can tell
+        whose wire parts moved without asking every client.
+        ``before_callbacks``, if given, is called with the connections
+        whose transfers are about to end, before any of their callbacks
+        run (the event engine settles their owners' deferred ticks).
+        """
         now = self.clock.now
         faults = self.faults
+        ended: list[TcpConnection] = []
         if faults is not None and faults.resets_due(now):
-            for connection in list(self.connections):
-                if connection.transfer is not None:
-                    self.abort_transfer(connection)
+            ended = self._reset_live(before_callbacks)
         if self.schedule is not None:
             self.link.set_capacity(self.schedule.bandwidth_at(now))
+        live = self._live
         if faults is not None and faults.dead_air_at(now):
             # Radio silence: zero capacity for this tick only; control
             # countdowns still run, like a zero-bandwidth schedule step.
             saved_capacity = self.link.capacity_bps
             self.link.set_capacity(0.0)
-            completed = self.link.advance(self.connections, dt, now)
+            completed = self.link.advance(live, dt, now)
             self.link.set_capacity(saved_capacity)
         else:
-            completed = self.link.advance(self.connections, dt, now)
-        for transfer in completed:
-            if transfer.on_complete is not None:
-                transfer.on_complete(transfer)
+            completed = self.link.advance(live, dt, now)
+        if completed:
+            # Leave the live set before any callback can re-request.
+            done = [c for c in live if c._transfer is None]
+            live[:] = [c for c in live if c._transfer is not None]
+            if before_callbacks is not None:
+                before_callbacks(done)
+            ended.extend(done)
+            for transfer in completed:
+                if transfer.on_complete is not None:
+                    transfer.on_complete(transfer)
+        return ended
+
+    def _reset_live(self, before_callbacks) -> list[TcpConnection]:
+        """Abort every transfer on the wire, in creation order.
+
+        An abort callback may issue a request on a later connection,
+        which the walk then reaches and aborts too, as a walk over every
+        connection would.  Returns the aborted connections.
+        """
+        live = self._live
+        if live and before_callbacks is not None:
+            before_callbacks(list(live))
+        rank = self._rank.__getitem__
+        aborted = []
+        position = 0
+        while True:
+            at = bisect_right(live, position, key=rank)
+            if at == len(live):
+                return aborted
+            connection = live[at]
+            position = rank(connection)
+            aborted.append(connection)
+            self.abort_transfer(connection)
 
     def metrics_into(self, metrics) -> None:
         """Record transport-level totals into a metrics registry.
@@ -206,10 +284,8 @@ class Network:
         return self.link.capacity_bps
 
     def active_transfers(self) -> int:
-        """How many connections carry a transfer right now (one C-level
-        pass over the connection list, no per-connection Python call)."""
-        transfers = list(map(_TRANSFER_OF, self.connections))
-        return len(transfers) - transfers.count(None)
+        """How many connections carry a transfer right now."""
+        return len(self._live)
 
     def steady_for_batching(self) -> bool:
         """True when batched ticks can replay this network exactly.
@@ -221,9 +297,7 @@ class Network:
         a download to batch through.  Handshake and request-latency
         countdowns are replayed tick-exactly inside the micro-loop.
         """
-        return any(
-            connection.transfer is not None for connection in self.connections
-        )
+        return bool(self._live)
 
     def advance_many(
         self, max_ticks: int, dt: float
@@ -281,7 +355,7 @@ class Network:
                     clamp_reason = ADVANCE_FAULT
             if self.faults.dead_air_at(t):
                 capacity = 0.0
-        connections = self.connections
+        connections = self._live
         executed = 0
         activity: list[bool] = []
         while executed < max_ticks:

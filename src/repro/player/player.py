@@ -605,7 +605,9 @@ class Player:
                 return 0
         return self._ticks_within(margins, dt, max_ticks)
 
-    def apply_noop_ticks(self, count: int, dt: float) -> None:
+    def apply_noop_ticks(
+        self, count: int, dt: float, start: float | None = None
+    ) -> None:
         """Replay ``count`` no-op ticks in one call (caller ticks the clock).
 
         Bit-identical to ``count`` serial ``advance`` calls within a
@@ -615,10 +617,17 @@ class Player:
         exactly as ``_advance_playback`` would) and each tick's UI
         samples are emitted against that tick's pre-advance clock value,
         exactly as the per-tick path would.
+
+        ``start`` is the clock value of the first replayed tick (default
+        ``clock.now``), so a debt of no-op ticks can be paid after the
+        clock moved past it.  Tick times follow :meth:`Clock.tick`'s
+        ``round(t + dt, 9)`` chain and the buffers are consumed at the
+        final position only, so replaying ``a`` then ``b`` ticks equals
+        replaying ``a + b``.
         """
         if count <= 0:
             return
-        t = self.clock.now
+        t = self.clock.now if start is None else start
         pos = self._play_pos
         next_ui = self._next_ui_at
         samples = self.ui_samples

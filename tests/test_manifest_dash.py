@@ -172,3 +172,104 @@ class TestMpdErrors:
         sidx = builder.sidx(small_asset.video_tracks[0])
         with pytest.raises(ManifestError, match="not sidx-addressed"):
             segments_from_sidx(manifest.video_tracks[0], sidx)
+
+
+# -- sidx sizes without building the box ------------------------------------
+
+
+def _box_of(track, timescale):
+    """The track's sidx box, built from its segments."""
+    return SidxBox(
+        timescale=timescale,
+        references=tuple(
+            SidxReference(
+                referenced_size=seg.size_bytes,
+                subsegment_duration=int(round(seg.duration_s * timescale)),
+            )
+            for seg in track.segments
+        ),
+    )
+
+
+class _BoxDerivedBuilder(DashBuilder):
+    """Every size and offset read off a freshly built sidx box, and the
+    segment list asks ``byte_range_of`` once per segment."""
+
+    def header_size(self, track):
+        return _box_of(track, self.timescale).size_bytes
+
+    def _segment_list(self, representation, track):
+        from xml.etree import ElementTree
+
+        segment_list = ElementTree.SubElement(
+            representation, "SegmentList", {"timescale": str(self.timescale)}
+        )
+        timeline = ElementTree.SubElement(segment_list, "SegmentTimeline")
+        for seg in track.segments:
+            element = {"d": str(int(round(seg.duration_s * self.timescale)))}
+            if seg.index == 0:
+                element["t"] = "0"
+            ElementTree.SubElement(timeline, "S", element)
+        for seg in track.segments:
+            start, end = self.byte_range_of(track, seg.index)
+            ElementTree.SubElement(
+                segment_list, "SegmentURL", {"mediaRange": f"{start}-{end}"}
+            )
+
+
+class TestSidxOnce:
+    @pytest.mark.parametrize("addressing", list(SegmentAddressing))
+    def test_mpd_text_equals_the_box_derived_builder(
+        self, small_asset, addressing
+    ):
+        fast = DashBuilder(base_url="https://cdn.test", asset=small_asset,
+                           addressing=addressing)
+        plain = _BoxDerivedBuilder(base_url="https://cdn.test",
+                                   asset=small_asset, addressing=addressing)
+        assert fast.mpd() == plain.mpd()
+        for track in small_asset.video_tracks + small_asset.audio_tracks:
+            assert fast.header_size(track) == fast.sidx(track).size_bytes
+            assert fast.media_file_size(track) == plain.media_file_size(track)
+            assert fast.index_byte_range(track) == plain.index_byte_range(track)
+            for seg in track.segments:
+                assert fast.byte_range_of(track, seg.index) == (
+                    plain.byte_range_of(track, seg.index)
+                )
+
+    def test_mpd_builds_no_box(self, small_asset, monkeypatch):
+        def refuse(self, track):
+            raise AssertionError("sidx box built while writing the MPD")
+
+        monkeypatch.setattr(DashBuilder, "sidx", refuse)
+        for addressing in SegmentAddressing:
+            DashBuilder(base_url="https://cdn.test", asset=small_asset,
+                        addressing=addressing).mpd()
+
+    def test_hosting_builds_each_box_once_with_unchanged_bytes(
+        self, small_asset, monkeypatch
+    ):
+        from repro.net.http import HttpRequest
+        from repro.server.origin import OriginServer
+
+        built = []
+        build = DashBuilder.sidx
+
+        def counting(self, track):
+            built.append(track.track_id)
+            return build(self, track)
+
+        monkeypatch.setattr(DashBuilder, "sidx", counting)
+        origin = OriginServer()
+        hosting = origin.host_dash(small_asset, "https://cdn.test")
+        tracks = small_asset.video_tracks + small_asset.audio_tracks
+        assert sorted(built) == sorted(track.track_id for track in tracks)
+        builder = hosting.builder
+        for track in tracks:
+            want = _box_of(track, builder.timescale).encode()
+            plan = origin.handle(HttpRequest(
+                url=builder.media_url(track),
+                byte_range=(0, len(want) - 1),
+            ))
+            assert plan.data == want
+            whole = origin.handle(HttpRequest(url=builder.media_url(track)))
+            assert whole.size_bytes == len(want) + track.total_bytes

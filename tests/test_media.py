@@ -259,3 +259,65 @@ class TestMediaAsset:
         tracks = tuple(reversed(small_asset.video_tracks))
         with pytest.raises(ValueError):
             MediaAsset(asset_id="bad", video_tracks=tracks)
+
+
+# -- encode_ladder against the per-rung encoder --------------------------------
+
+
+def _reference_ladder(encoder, content, ladder):
+    """Each rung encoded on its own, re-deriving every per-segment mean
+    complexity (and, for PEAK VBR, once more for the target)."""
+    settings = encoder.settings
+    grid = segment_grid(content.duration_s, settings.segment_duration_s)
+    tracks = []
+    for level, rung in enumerate(ladder):
+        if (
+            settings.mode is EncodingMode.CBR
+            or settings.declared_policy is DeclaredBitratePolicy.AVERAGE
+        ):
+            target = rung.declared_bitrate_bps
+        else:
+            peak = max(content.complexity.mean_over(s, d) for s, d in grid)
+            target = rung.declared_bitrate_bps / max(peak, 1.0)
+        rng = encoder._rng.child(f"video/{level}/{content.content_id}")
+        segments = []
+        for index, (start, duration) in enumerate(grid):
+            if settings.mode is EncodingMode.CBR:
+                jitter = settings.cbr_jitter
+                factor = rng.truncated_gauss(
+                    1.0, jitter, 1.0 - 2 * jitter, 1.0 + 2 * jitter
+                )
+            else:
+                noise = settings.vbr_noise
+                factor = content.complexity.mean_over(start, duration) * (
+                    rng.truncated_gauss(1.0, noise, 1.0 - 2 * noise, 1.0 + 2 * noise)
+                )
+            size = max(1, int(round(target * duration / 8.0 * factor)))
+            segments.append(Segment(index=index, start_s=start,
+                                    duration_s=duration, size_bytes=size))
+        tracks.append(Track(
+            track_id=f"{content.content_id}/video/{level}",
+            stream_type=StreamType.VIDEO,
+            level=level,
+            declared_bitrate_bps=rung.declared_bitrate_bps,
+            height=rung.height,
+            segments=tuple(segments),
+        ))
+    return tuple(tracks)
+
+
+@pytest.mark.parametrize("mode", list(EncodingMode))
+@pytest.mark.parametrize("policy", list(DeclaredBitratePolicy))
+def test_encode_ladder_equals_the_per_rung_reference(content_120, mode, policy):
+    settings = EncoderSettings(
+        segment_duration_s=3.7, mode=mode, declared_policy=policy, seed=11
+    )
+    ladder = [
+        LadderRung(kbps(250), 240),
+        LadderRung(kbps(900), 480),
+        LadderRung(kbps(2500), 720),
+        LadderRung(kbps(6000), 1080),
+    ]
+    got = Encoder(settings).encode_ladder(content_120, ladder)
+    want = _reference_ladder(Encoder(settings), content_120, ladder)
+    assert got == want
